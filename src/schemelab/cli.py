@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="auto", help="arithmetic mode (default auto)")
             p.add_argument("--tol-eigen", type=float,
                            default=spectra.DEFAULT_EIGEN_TOL,
-                           help="float-mode eigenvalue grouping tolerance")
+                           help="float-mode eigenvalue grouping tolerance "
+                                "(intersection matrices)")
             p.add_argument("--tol-int", type=float,
                            default=feasibility.DEFAULT_INT_TOL,
                            help="float-mode integrality tolerance")
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feasibility", action="store_true",
                    help="attach feasibility data to each record")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for candidate evaluation")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", metavar="FILE", help="write JSON records here")
     p.set_defaults(handler=cmd_search)
     return parser

@@ -8,7 +8,6 @@ test; feasibility data can be attached for reporting but never replaces it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -76,9 +75,10 @@ def search_completely_regular(s: AssociationScheme, i: int,
     and every record comes from the direct distance-partition test. With
     ``dedup_by_signature`` only the first subset per inner-relation
     multiset signature is tested. ``budget`` caps how many candidates are
-    tested; when it is hit the result is marked non-exhaustive. Worker
-    threads only parallelize candidate evaluation; output order is the
-    enumeration order regardless of worker count.
+    tested; when it is hit the result is marked non-exhaustive. Each
+    candidate is classified as it is enumerated. ``workers`` is accepted
+    for compatibility and has no effect: the work is pure Python, which
+    threads cannot overlap.
     """
     lo, hi = sizes
     if not (1 <= lo <= hi <= s.v):
@@ -86,7 +86,7 @@ def search_completely_regular(s: AssociationScheme, i: int,
     if budget < 0:
         raise InputError("budget must be non-negative")
 
-    candidates: list[tuple[int, ...]] = []
+    records: list[CodeRecord] = []
     seen_signatures: set[tuple[int, ...]] = set()
     skipped = 0
     exhausted_budget = False
@@ -98,22 +98,13 @@ def search_completely_regular(s: AssociationScheme, i: int,
                     skipped += 1
                     continue
                 seen_signatures.add(sig)
-            if len(candidates) >= budget:
+            if len(records) >= budget:
                 exhausted_budget = True
                 break
-            candidates.append(code)
+            records.append(is_completely_regular(
+                s, i, code, spec=spec, include_feasibility=include_feasibility))
         if exhausted_budget:
             break
-
-    def classify(code: tuple[int, ...]) -> CodeRecord:
-        return is_completely_regular(s, i, code, spec=spec,
-                                     include_feasibility=include_feasibility)
-
-    if workers > 1 and candidates:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(classify, candidates))
-    else:
-        records = tuple(classify(code) for code in candidates)
-    return SearchResult(records=records, tested=len(candidates),
+    return SearchResult(records=tuple(records), tested=len(records),
                         skipped_duplicates=skipped,
                         exhaustive=not exhausted_budget)

@@ -48,7 +48,7 @@ def read_edge_list(path) -> LabeledGraph:
 def read_relation_file(path) -> tuple[tuple[str, ...], list[RationalMatrix]]:
     """Header "v d", then d+1 blocks of v rows of 0/1, blank-line separated.
 
-    Rows may be space-separated digits or one contiguous 0/1 string.
+    Rows may be whitespace-separated digits or one contiguous 0/1 string.
     Vertices are labeled "0".."v-1".
     """
     lines = _clean_lines(Path(path).read_text())
@@ -74,7 +74,9 @@ def read_relation_file(path) -> tuple[tuple[str, ...], list[RationalMatrix]]:
         rows = []
         for r in range(v):
             line = data_rows[block * v + r]
-            tokens = line.split() if " " in line else list(line)
+            tokens = line.split()
+            if len(tokens) == 1:
+                tokens = list(tokens[0])
             if len(tokens) != v:
                 raise InputError(f"{path}: row {line!r} has {len(tokens)} "
                                  f"entries, expected {v}")

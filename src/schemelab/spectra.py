@@ -1,14 +1,24 @@
-"""Spectral decomposition of a scheme: eigenspaces, idempotents, P and Q.
+"""Spectral decomposition of a scheme: eigenmatrices, idempotents, eigenspaces.
 
-The vertex space splits into d+1 maximal common eigenspaces W_0..W_d of the
-relation matrices. When every relation has a fully rational spectrum the
-whole decomposition is carried out in exact rational arithmetic; otherwise
-a double-precision path with explicit tolerances takes over and the result
-is flagged accordingly. W_0 is always the constants; the remaining spaces
-are ordered by decreasing eigenvalue tuple for reproducible reports.
+The decomposition is computed from the intersection numbers alone. The
+intersection matrices L_i, with (L_i)_kj = p^k_ij, are (d+1)x(d+1) and
+commute; the rows of P are their common left eigenvectors, and P_ji is the
+eigenvalue of L_i on row j. From P follow the multiplicities
+m_j = v / sum_i P_ji^2/k_i, Q = v P^{-1}, the primitive idempotents
+E_j = (1/v) sum_i Q_ij A_i, and the maximal common eigenspace W_j as the
+row space of E_j.
+
+When every L_i has a rational spectrum (its eigenvalues are those of A_i)
+everything is exact rational arithmetic. Otherwise the symmetrized
+matrices D^{1/2} L_i D^{-1/2}, D = diag(k_i), are split in double
+precision: the eigenvalue tolerance groups their eigenvalues and applies
+nowhere else, and the result is flagged accordingly. Rows of P are ordered
+by decreasing eigenvalue tuple; since |P_ji| <= k_i this puts the trivial
+character (P_0 = the valencies, W_0 = the constants) first.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,7 +28,7 @@ from .errors import (InputError, InternalConsistencyError,
                      IrrationalSpectrumError)
 from .floatlin import symmetric_eigen
 from .poly import char_poly, integer_roots
-from .ratmat import RationalMatrix, inner_product, inverse, nullspace
+from .ratmat import RationalMatrix, inner_product, inverse, nullspace, rref
 from .scheme import AssociationScheme
 
 DEFAULT_EIGEN_TOL = 1e-9
@@ -31,9 +41,10 @@ _FLOAT_CHECK_TOL = 1e-8
 class SpectralData:
     """Spectral decomposition of a scheme, exact or floating point.
 
-    ``bases[j]`` holds rows spanning W_j (a RationalMatrix in exact mode, an
-    ndarray with orthonormal rows in float mode). ``p_matrix[j][i]`` is the
-    eigenvalue of A_i on W_j; ``q_matrix`` is its dual with P Q = v I.
+    ``bases[j]`` holds rows spanning W_j (in exact mode a RationalMatrix,
+    the non-zero rows of rref(E_j); in float mode an ndarray with
+    orthonormal rows). ``p_matrix[j][i]`` is the eigenvalue of A_i on W_j;
+    ``q_matrix`` is its dual with P Q = v I.
     """
 
     mode: str  # "exact" | "float"
@@ -50,23 +61,6 @@ class SpectralData:
         return self.mode == "exact"
 
 
-def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None:
-    """Integer eigenvalues (with multiplicity) of A_1..A_d, or None.
-
-    None signals that some relation has an irrational eigenvalue, i.e. its
-    characteristic polynomial does not split over the rationals, so exact
-    mode is unavailable.
-    """
-    out = []
-    for i in range(1, s.d + 1):
-        roots, rest = integer_roots(char_poly(s.relations[i]),
-                                    bound=s.valencies[i])
-        if rest.degree > 0:
-            return None
-        out.append(roots)
-    return out
-
-
 def _left_eigen_split(basis: RationalMatrix, a: RationalMatrix,
                       eigenvalues) -> list[tuple[int, RationalMatrix]]:
     """Split a basis of an a-invariant subspace by the eigenvalues of a.
@@ -74,8 +68,8 @@ def _left_eigen_split(basis: RationalMatrix, a: RationalMatrix,
     Works on row vectors: returns (eigenvalue, rows spanning the matching
     slice) for every eigenvalue that actually occurs.
     """
-    v = a.nrows
-    shifted = {lam: basis @ (a - lam * RationalMatrix.identity(v))
+    n = a.nrows
+    shifted = {lam: basis @ (a - lam * RationalMatrix.identity(n))
                for lam in eigenvalues}
     pieces = []
     total = 0
@@ -92,157 +86,159 @@ def _left_eigen_split(basis: RationalMatrix, a: RationalMatrix,
     return pieces
 
 
-def _exact_eigenspaces(s: AssociationScheme,
-                       roots: list[dict[int, int]] | None = None
-                       ) -> list[tuple[dict[int, int], RationalMatrix]]:
-    if roots is None:
-        roots = rational_spectrum_roots(s)
-    if roots is None:
-        raise IrrationalSpectrumError(
-            "some relation has an irrational eigenvalue; use float mode")
-    spaces = [({}, RationalMatrix.identity(s.v))]
-    for i in range(1, s.d + 1):
-        eigenvalues = sorted(roots[i - 1], reverse=True)
-        refined = []
-        for tags, basis in spaces:
-            for lam, sub in _left_eigen_split(basis, s.relations[i], eigenvalues):
-                refined.append(({**tags, i: lam}, sub))
-        spaces = refined
-    return spaces
+def _eigenmatrix_rows(s: AssociationScheme, eigen_tol: float | None):
+    """Rows of P, refined relation by relation over the L_i; or None.
 
-
-def _float_eigenspaces(s: AssociationScheme, tol: float
-                       ) -> list[tuple[dict[int, float], np.ndarray]]:
-    spaces = [({}, np.eye(s.v))]  # column bases, orthonormal
-    mats = [np.array(a.rows, dtype=float) for a in s.relations]
-    for i in range(1, s.d + 1):
-        refined = []
-        for tags, basis in spaces:
-            restricted = basis.T @ mats[i] @ basis
-            restricted = (restricted + restricted.T) / 2.0
-            for lam, cols in symmetric_eigen(restricted, tol=tol):
-                refined.append(({**tags, i: lam}, basis @ cols))
-        spaces = refined
-    return [(tags, basis.T.copy()) for tags, basis in spaces]
-
-
-def _order_spaces(s: AssociationScheme, spaces, exact: bool):
-    """Constants first, then decreasing eigenvalue tuples."""
-    def tag_tuple(tags):
-        return tuple(tags[i] for i in range(1, s.d + 1))
-
-    if exact:
-        constants = [sp for sp in spaces
-                     if tag_tuple(sp[0]) == tuple(s.valencies[1:])]
-    else:
-        def dist(sp):
-            return max(abs(tag_tuple(sp[0])[i - 1] - s.valencies[i])
-                       for i in range(1, s.d + 1)) if s.d else 0.0
-        constants = [min(spaces, key=dist)] if spaces else []
-        if constants and s.d and dist(constants[0]) > 1e-6 * max(s.valencies):
-            constants = []
-    if len(constants) != 1:
-        raise InternalConsistencyError(
-            "could not identify the all-ones eigenspace")
-    w0 = constants[0]
-    rest = sorted((sp for sp in spaces if sp is not w0),
-                  key=lambda sp: tag_tuple(sp[0]), reverse=True)
-    return [w0] + rest
-
-
-def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
-                       eigen_tol: float = DEFAULT_EIGEN_TOL) -> SpectralData:
-    """Maximal common eigenspaces of all relation matrices.
-
-    ``mode`` is "exact", "float", or "auto" (exact whenever every relation
-    has a rational spectrum, else float with a warning recorded). Exactly
-    d+1 spaces must emerge; anything else raises InternalConsistencyError.
+    Row j of P is a common left eigenvector of the L_i, (L_i)_kj = p^k_ij,
+    with eigenvalue P_ji. Exact when ``eigen_tol`` is None: eigenvalues of
+    a 0/1 matrix are algebraic integers, so a rational one is an integer
+    root of char(L_i) with |P_ji| <= k_i, and None means some L_i has an
+    irrational one. Otherwise the symmetric D^{1/2} L_i D^{-1/2} are split
+    in double precision, grouping eigenvalues within ``eigen_tol``.
     """
-    warnings: tuple[str, ...] = ()
-    roots = None
-    if mode == "auto":
-        roots = rational_spectrum_roots(s)
-        if roots is not None:
-            mode = "exact"
-        else:
-            mode = "float"
-            warnings = ("irrational spectrum: falling back to double "
-                        f"precision with eigenvalue tolerance {eigen_tol}",)
-    if mode == "exact":
-        spaces = _exact_eigenspaces(s, roots)
-    elif mode == "float":
-        spaces = _float_eigenspaces(s, eigen_tol)
+    r = range(s.d + 1)
+    ls = [RationalMatrix([[s.intersection[i][j][k] for j in r] for k in r])
+          for i in r]
+    if eigen_tol is None:
+        spaces = [((), RationalMatrix.identity(s.d + 1))]
     else:
-        raise InputError(f"unknown mode {mode!r}")
+        spaces = [((), np.eye(s.d + 1))]  # orthonormal column bases
+        root_k = np.sqrt(np.array(s.valencies, dtype=float))
+    for i in r[1:]:
+        refined = []
+        if eigen_tol is None:
+            roots, rest = integer_roots(char_poly(ls[i]), bound=s.valencies[i])
+            if rest.degree > 0:
+                return None
+            eigenvalues = sorted(roots, reverse=True)
+            for tags, basis in spaces:
+                refined += [(tags + (lam,), sub) for lam, sub
+                            in _left_eigen_split(basis, ls[i], eigenvalues)]
+        else:
+            sym = root_k[:, None] * np.array(ls[i].rows, dtype=float) / root_k
+            for tags, basis in spaces:
+                restricted = basis.T @ sym @ basis
+                restricted = (restricted + restricted.T) / 2.0
+                refined += [(tags + (lam,), basis @ cols) for lam, cols
+                            in symmetric_eigen(restricted, tol=eigen_tol)]
+        spaces = refined
     if len(spaces) != s.d + 1:
         raise InternalConsistencyError(
             f"eigenspace refinement produced {len(spaces)} spaces, "
             f"expected {s.d + 1}; input may not be a commutative scheme "
             "or the tolerance merged distinct eigenvalues")
-    ordered = _order_spaces(s, spaces, exact=(mode == "exact"))
-    bases = tuple(basis for _, basis in ordered)
-    mult = tuple(b.nrows if isinstance(b, RationalMatrix) else b.shape[0]
-                 for b in bases)
-    if sum(mult) != s.v:
-        raise InternalConsistencyError("eigenspace dimensions do not sum to v")
-    return SpectralData(mode=mode, eigen_tol=None if mode == "exact" else eigen_tol,
-                        bases=bases, multiplicities=mult, warnings=warnings)
+    rows = [[1, *tags] for tags, _ in sorted(spaces, key=lambda sp: sp[0],
+                                             reverse=True)]
+    rows[0] = list(s.valencies)
+    return rows
+
+
+def _multiplicities(s: AssociationScheme, rows: list[list],
+                    exact: bool) -> tuple[int, ...]:
+    """m_j = v / sum_i P_ji^2/k_i, which must be an integer."""
+    out = []
+    for row in rows:
+        if exact:
+            m = s.v / sum(Fraction(x) ** 2 / k for x, k in zip(row, s.valencies))
+            ok = m.denominator == 1
+        else:
+            m = s.v / sum(x * x / k for x, k in zip(row, s.valencies))
+            ok = abs(m - round(m)) <= _FLOAT_CHECK_TOL * s.v
+        if not ok:
+            raise InternalConsistencyError(
+                f"multiplicity {m} of an eigenspace is not an integer")
+        out.append(int(round(m)))
+    return tuple(out)
+
+
+def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None:
+    """Integer eigenvalues (with multiplicity) of A_1..A_d, or None.
+
+    None signals that some relation has an irrational eigenvalue, i.e. the
+    characteristic polynomial of its intersection matrix does not split
+    over the rationals, so exact mode is unavailable. Multiplicities are
+    those on the vertex space: eigenvalue P_ji counts m_j times.
+    """
+    rows = _eigenmatrix_rows(s, None)
+    if rows is None:
+        return None
+    mult = _multiplicities(s, rows, exact=True)
+    out = []
+    for i in range(1, s.d + 1):
+        roots = Counter()
+        for row, m in zip(rows, mult):
+            roots[row[i]] += m
+        out.append(dict(roots))
+    return out
+
+
+def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
+                       eigen_tol: float = DEFAULT_EIGEN_TOL) -> SpectralData:
+    """P, multiplicities, idempotents E_j and bases of the eigenspaces W_j.
+
+    ``mode`` is "exact", "float", or "auto" (exact whenever every relation
+    has a rational spectrum, else float with a warning recorded). Exactly
+    d+1 characters must emerge and rank(E_j) must equal m_j; anything else
+    raises InternalConsistencyError. Q is left to ``eigenmatrices``, which
+    verifies the duality Q_ij k_i = P_ji m_j that the E_j are built from.
+    """
+    if mode not in ("auto", "exact", "float"):
+        raise InputError(f"unknown mode {mode!r}")
+    warnings: tuple[str, ...] = ()
+    rows = None if mode == "float" else _eigenmatrix_rows(s, None)
+    exact = rows is not None
+    if not exact:
+        if mode == "exact":
+            raise IrrationalSpectrumError(
+                "some relation has an irrational eigenvalue; use float mode")
+        if mode == "auto":
+            warnings = ("irrational spectrum: falling back to double "
+                        f"precision with eigenvalue tolerance {eigen_tol}",)
+        rows = _eigenmatrix_rows(s, eigen_tol)
+    mult = _multiplicities(s, rows, exact)
+    rel = s.relation_of
+    es, bases = [], []
+    for row, m in zip(rows, mult):
+        # column j of Q by duality: Q_ij = m_j P_ji / k_i
+        if exact:
+            coef = [m * Fraction(x) / (s.v * k) for x, k in zip(row, s.valencies)]
+            e = RationalMatrix([[coef[r] for r in rel_row] for rel_row in rel])
+            reduced, rk, _ = rref(e)
+        else:
+            coef = np.array([m * x / (s.v * k) for x, k in zip(row, s.valencies)])
+            e = coef[np.array(rel)]
+            w, vecs = np.linalg.eigh(e)
+            rk = int((w > 0.5).sum())
+        if rk != m:
+            raise InternalConsistencyError(
+                f"rank(E_j) = {rk} differs from the multiplicity {m}")
+        es.append(e)
+        bases.append(RationalMatrix(reduced.rows[:rk]) if exact
+                     else vecs[:, w > 0.5].T.copy())
+    p = RationalMatrix(rows) if exact else np.array(rows, dtype=float)
+    return SpectralData(mode="exact" if exact else "float",
+                        eigen_tol=None if exact else eigen_tol,
+                        bases=tuple(bases), multiplicities=mult,
+                        idempotents=tuple(es), p_matrix=p, warnings=warnings)
 
 
 def idempotents(spec: SpectralData) -> SpectralData:
-    """Fill in the primitive idempotents E_j (projectors onto each W_j)."""
-    if spec.exact:
-        es = []
-        for basis in spec.bases:
-            bt = basis.transpose()
-            gram_inv = inverse(basis @ bt)
-            es.append(bt @ gram_inv @ basis)
-        return replace(spec, idempotents=tuple(es))
-    es = tuple(basis.T @ basis for basis in spec.bases)
-    return replace(spec, idempotents=es)
+    """Return ``spec`` with its primitive idempotents E_j.
 
-
-def _rayleigh_exact(basis: RationalMatrix, a: RationalMatrix) -> Fraction:
-    results = []
-    for r in range(min(2, basis.nrows)):
-        w = RationalMatrix([basis[r]])
-        image = w @ a
-        k = next(j for j in range(basis.ncols) if w[0][j] != 0)
-        lam = image[0][k] / w[0][k]
-        if image != lam * w:
-            raise InternalConsistencyError(
-                "basis vector is not an eigenvector of a relation matrix")
-        results.append(lam)
-    if len(set(results)) != 1:
-        raise InternalConsistencyError(
-            "two basis vectors of one eigenspace disagree on an eigenvalue")
-    return results[0]
-
-
-def _rayleigh_float(basis: np.ndarray, a: np.ndarray, tol: float) -> float:
-    vals = []
-    for r in range(min(2, basis.shape[0])):
-        w = basis[r]
-        vals.append(float(w @ a @ w))
-    if len(vals) == 2 and abs(vals[0] - vals[1]) > max(tol * 1e3, _FLOAT_CHECK_TOL):
-        raise InternalConsistencyError(
-            "eigenvalue disagreement inside one float-mode eigenspace; "
-            "tolerance likely merged distinct spaces")
-    return vals[0]
+    ``common_eigenspaces`` already builds them from P; spectral data
+    without them raises InputError.
+    """
+    if spec.idempotents is None:
+        raise InputError("spectral data lacks idempotents; "
+                         "build it with common_eigenspaces()")
+    return spec
 
 
 def eigenmatrices(s: AssociationScheme, spec: SpectralData) -> SpectralData:
-    """Compute P and Q and verify P Q = v I and Q_ij v_i = P_ji f_j.
-
-    P_ji is read off as the eigenvalue of A_i on W_j (first basis vector,
-    cross-checked against a second when the space has dimension > 1);
-    Q = v P^{-1}.
-    """
+    """Compute Q = v P^{-1} and verify P Q = v I and Q_ij v_i = P_ji f_j."""
     d, v = s.d, s.v
+    p = spec.p_matrix
     if spec.exact:
-        p_rows = [[_rayleigh_exact(spec.bases[j], s.relations[i])
-                   for i in range(d + 1)] for j in range(d + 1)]
-        p = RationalMatrix(p_rows)
         q = v * inverse(p)
         if p @ q != v * RationalMatrix.identity(d + 1):
             raise InternalConsistencyError("P Q = vI failed in exact mode")
@@ -251,13 +247,8 @@ def eigenmatrices(s: AssociationScheme, spec: SpectralData) -> SpectralData:
                 if q[i][j] * s.valencies[i] != p[j][i] * spec.multiplicities[j]:
                     raise InternalConsistencyError(
                         "duality relation Q_ij v_i = P_ji f_j failed")
-        return replace(spec, p_matrix=p, q_matrix=q)
+        return replace(spec, q_matrix=q)
 
-    mats = [np.array(a.rows, dtype=float) for a in s.relations]
-    tol = spec.eigen_tol or DEFAULT_EIGEN_TOL
-    # column 0 is the eigenvalue of A_0 = I, exactly 1
-    p = np.array([[1.0 if i == 0 else _rayleigh_float(spec.bases[j], mats[i], tol)
-                   for i in range(d + 1)] for j in range(d + 1)])
     q = v * np.linalg.inv(p)
     if np.abs(p @ q - v * np.eye(d + 1)).max() > _FLOAT_CHECK_TOL * v:
         raise InternalConsistencyError("P Q = vI failed in float mode")
@@ -267,7 +258,7 @@ def eigenmatrices(s: AssociationScheme, spec: SpectralData) -> SpectralData:
     if duality.max() > _FLOAT_CHECK_TOL * v:
         raise InternalConsistencyError(
             "duality relation Q_ij v_i = P_ji f_j failed in float mode")
-    return replace(spec, p_matrix=p, q_matrix=q)
+    return replace(spec, q_matrix=q)
 
 
 def spectral_data(s: AssociationScheme, mode: str = "auto",

@@ -64,6 +64,16 @@ class TestSearch:
         expected = [(x,) for x in range(10)] + [(0, 1), (0, 2), (0, 3)]
         assert subsets == expected
 
+    def test_budget_boundary(self, petersen):
+        # sizes 1..2 on the Petersen graph give 10 + 45 = 55 candidates
+        full = sl.search_completely_regular(petersen, 1, (1, 2))
+        at = sl.search_completely_regular(petersen, 1, (1, 2), budget=55)
+        assert (at.tested, at.exhaustive) == (55, True)
+        below = sl.search_completely_regular(petersen, 1, (1, 2), budget=54)
+        assert (below.tested, below.exhaustive) == (54, False)
+        assert [(r.vertices, r.completely_regular) for r in below.records] == \
+            [(r.vertices, r.completely_regular) for r in full.records[:54]]
+
     def test_accepted_codes_reconfirmed_independently(self, petersen):
         result = sl.search_completely_regular(petersen, 1, (1, 2))
         for rec in result.records:

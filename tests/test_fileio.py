@@ -4,6 +4,7 @@ import pytest
 
 import schemelab as sl
 from schemelab import fileio
+from schemelab.cli import main
 
 
 def test_format_rational():
@@ -58,6 +59,26 @@ class TestRelationFile:
         path.write_text("10\n")
         with pytest.raises(sl.InputError):
             fileio.read_relation_file(path)
+
+    def test_tab_separated_rows(self, tmp_path, petersen):
+        path = tmp_path / "p.rel"
+        write_relation_file(path, petersen)
+        path.write_text(path.read_text().replace(" ", "\t"))
+        labels, mats = fileio.read_relation_file(path)
+        assert mats == list(petersen.relations)
+
+    def test_mixed_whitespace_rows(self, tmp_path):
+        path = tmp_path / "k2.rel"
+        path.write_text("2 1\n1\t0\n0  \t 1\n\n0 \t1\n1\t\t0\n")
+        labels, mats = fileio.read_relation_file(path)
+        assert [[int(x) for x in row] for m in mats for row in m.rows] == \
+            [[1, 0], [0, 1], [0, 1], [1, 0]]
+
+    def test_tab_separated_file_verifies_on_cli(self, tmp_path, capsys):
+        path = tmp_path / "k2.rel"
+        path.write_text("2 1\n1\t0\n0\t1\n\n0\t1\n1\t0\n")
+        assert main(["verify", "--relations", str(path)]) == 0
+        assert "axioms: pass" in capsys.readouterr().out
 
     def test_wrong_row_count(self, tmp_path):
         path = tmp_path / "bad.rel"

@@ -13,6 +13,16 @@ def numpy_eigen_multiset(matrix):
     return collections.Counter(int(round(x)) for x in eigs)
 
 
+def product_scheme(a, b):
+    """Direct product: relation i*(d_b+1)+j is A_i (x) B_j, checked by the axioms."""
+    mats = [np.kron(np.array(x.rows, dtype=int),
+                    np.array(y.rows, dtype=int)).tolist()
+            for x in a.relations for y in b.relations]
+    report = sl.verify_axioms(mats)
+    assert report.ok
+    return report.scheme
+
+
 class TestCommonEigenspaces:
     def test_complete_graph_dims(self, k4):
         spec = sl.common_eigenspaces(k4)
@@ -46,6 +56,13 @@ class TestCommonEigenspaces:
         float_spec = sl.common_eigenspaces(cycle5)
         assert float_spec.mode == "float"
         assert float_spec.warnings
+
+    def test_rational_spectrum_roots_match_numeric_oracle(self, exact_catalog):
+        schemes = exact_catalog + [sl.named_scheme("cycle", 4),
+                                   sl.named_scheme("cycle", 6)]
+        for s in schemes:
+            assert sl.rational_spectrum_roots(s) == \
+                [numpy_eigen_multiset(a) for a in s.relations[1:]]
 
     def test_exact_mode_refused_for_irrational(self, cycle5):
         with pytest.raises(sl.IrrationalSpectrumError):
@@ -110,6 +127,56 @@ class TestCommonEigenspaces:
         part, rho = sl.distance_partition(s, 1, [s.labels[0]])
         assert rho == 3
         assert sl.verify_equitable_multiplicities(s, spec, part).ok
+
+
+class TestProductSchemes:
+    """Products are not distance-regular: no single relation separates
+    the eigenspaces, so the refinement has to combine relations."""
+
+    def test_k3_squared_exact(self):
+        k3 = sl.named_scheme("hamming", 1, 3)
+        s = product_scheme(k3, k3)
+        spec = sl.spectral_data(s, mode="exact")
+        p3 = np.array([[1, 2], [1, -1]])  # K3 is self-dual: Q = P
+        kron = np.kron(p3, p3)
+        order = sorted(range(4), key=lambda r: tuple(kron[r]), reverse=True)
+        assert [list(r) for r in spec.p_matrix.rows] == kron[order].tolist()
+        assert [list(r) for r in spec.q_matrix.rows] == kron[:, order].tolist()
+        assert spec.multiplicities == (1, 2, 2, 4)
+        es = spec.idempotents
+        zero = RationalMatrix.zeros(s.v)
+        for j, e in enumerate(es):
+            assert e.transpose() == e
+            assert rank(e) == spec.multiplicities[j]
+            for k, other in enumerate(es):
+                assert e @ other == (e if j == k else zero)
+        total = zero
+        for e in es:
+            total = total + e
+        assert total == RationalMatrix.identity(s.v)
+        for i in range(s.d + 1):
+            combo = zero
+            for j in range(s.d + 1):
+                combo = combo + spec.p_matrix[j][i] * es[j]
+            assert combo == s.relations[i]
+
+    def test_c5_times_k2_float(self, cycle5):
+        s = product_scheme(cycle5, sl.named_scheme("hamming", 1, 2))
+        spec = sl.spectral_data(s)
+        assert spec.mode == "float"
+        p, q = spec.p_matrix, spec.q_matrix
+        assert np.abs(p @ q - s.v * np.eye(s.d + 1)).max() < 1e-8
+        for i in range(s.d + 1):
+            for j in range(s.d + 1):
+                assert abs(q[i][j] * s.valencies[i]
+                           - p[j][i] * spec.multiplicities[j]) < 1e-8
+        p5 = np.array([[1, 2 * np.cos(2 * np.pi * t / 5),
+                        2 * np.cos(4 * np.pi * t / 5)] for t in range(3)])
+        kron = np.kron(p5, np.array([[1, 1], [1, -1]]))
+        mult = np.kron([1, 2, 2], [1, 1])
+        order = sorted(range(6), key=lambda r: tuple(kron[r]), reverse=True)
+        assert np.abs(p - kron[order]).max() < 1e-9
+        assert spec.multiplicities == tuple(int(m) for m in mult[order])
 
 
 class TestIdempotents:

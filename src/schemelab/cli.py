@@ -121,16 +121,22 @@ def _parse_family(text: str):
     return name, params
 
 
+def _relation_axioms(args, report: Report) -> scheme.AxiomReport:
+    """Read --relations, apply the size cap, and verify the axioms."""
+    report.add("scheme input", f"relations {args.relations}")
+    report.add("relations sha256", _digest(args.relations))
+    labels, mats = fileio.read_relation_file(args.relations)
+    scheme.check_size_cap(len(labels), args.max_vertices)
+    return scheme.verify_axioms(mats, labels=labels)
+
+
 def _load_scheme(args, report: Report):
     if args.family:
         name, params = _parse_family(args.family)
         report.add("scheme input", f"family {args.family}")
         return scheme.named_scheme(name, *params, max_vertices=args.max_vertices)
     if args.relations:
-        report.add("scheme input", f"relations {args.relations}")
-        report.add("relations sha256", _digest(args.relations))
-        labels, mats = fileio.read_relation_file(args.relations)
-        axioms = scheme.verify_axioms(mats, labels=labels)
+        axioms = _relation_axioms(args, report)
         if not axioms.ok:
             raise InputError(f"relation file is not a scheme: axiom "
                              f"{axioms.axiom} fails ({axioms.detail})")
@@ -166,10 +172,7 @@ def _echo(argv: list[str]) -> str:
 def cmd_verify(args, argv) -> tuple[Report, int]:
     report = Report(_echo(argv))
     if args.relations:
-        report.add("scheme input", f"relations {args.relations}")
-        report.add("relations sha256", _digest(args.relations))
-        labels, mats = fileio.read_relation_file(args.relations)
-        axioms = scheme.verify_axioms(mats, labels=labels)
+        axioms = _relation_axioms(args, report)
         if not axioms.ok:
             report.add("axioms", "fail")
             report.add("violated axiom", axioms.axiom)

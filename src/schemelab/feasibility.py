@@ -7,10 +7,12 @@ All built on the same machinery:
 * Godsil's projection condition: each <F, E_j>, computed from the trace
   profile, must be a non-negative integer;
 * the multiplicity identity for equitable partitions: <F, E_j> equals the
-  dimension of W_j H, verified by an independent rank computation, together
-  with the matching quotient-spectrum statement;
+  dimension of W_j H, verified by an independent rank computation on the
+  t x t matrix H^T E_j H, together with the matching quotient-spectrum
+  statement;
 * Lloyd's theorem: the characteristic polynomial of each quotient matrix
-  divides that of the corresponding relation matrix;
+  divides that of the corresponding relation matrix, the latter read off
+  the intersection numbers;
 * Higman's test for automorphisms: each <P_sigma, E_j>, computed from the
   fixed-relation counts, must be an algebraic integer.
 """
@@ -26,7 +28,7 @@ from .errors import (InputError, InternalConsistencyError,
 from .floatlin import float_rank
 from .partition import (EquitabilityResult, Partition, is_equitable,
                         partition_projector)
-from .poly import Polynomial, char_poly, poly_divides
+from .poly import Polynomial, char_poly, poly_divides, poly_from_power_sums
 from .ratmat import RationalMatrix, inner_product, rank
 from .scheme import AssociationScheme
 from .spectra import SpectralData
@@ -122,23 +124,47 @@ def godsil_condition(s: AssociationScheme, spec: SpectralData, part: Partition,
                         int_tol=None if spec.exact else int_tol)
 
 
+def _cell_relation_counts(s: AssociationScheme, part: Partition) -> list:
+    """C_i = H^T A_i H: C_i[a][b] counts the pairs (x, y) in R_i with x in
+    cell a and y in cell b. One pass over ``relation_of``."""
+    cell = part.cell_of
+    counts = [[[0] * part.t for _ in range(part.t)] for _ in range(s.d + 1)]
+    for x, row in enumerate(s.relation_of):
+        line = [c[cell[x]] for c in counts]
+        for y, i in enumerate(row):
+            line[i][cell[y]] += 1
+    return counts
+
+
 def subduced_multiplicities(s: AssociationScheme, spec: SpectralData,
                             part: Partition) -> tuple[int, ...]:
-    """dim(W_j H) for each eigenspace, by rank of (basis of W_j) @ H.
+    """dim(W_j H) for each eigenspace, as rank(H^T E_j H).
+
+    H^T E_j H = (1/v) sum_i Q_ij C_i with C_i = H^T A_i H, a t x t matrix of
+    cell pair counts, and Q_ij = m_j P_ji / k_i; no matrix with v rows is
+    formed. In float mode the rank is taken of D^{-1/2} H^T E_j H D^{-1/2},
+    D = H^T H, which is E_j compressed to orthonormal cell vectors, so its
+    eigenvalues lie in [0, 1]: those at most 1e-8 count as zero.
 
     The images W_j H together span the whole t-dimensional cell space, so
     the dimensions sum to at least t; equality holds when the partition is
     equitable (the images then sit inside distinct quotient eigenspaces)
     but can fail otherwise.
     """
-    h = part.characteristic_matrix()
-    if spec.exact:
-        out = tuple(rank(b @ h) for b in spec.bases)
-    else:
-        hf = np.array(h.rows, dtype=float)
-        # absolute cutoff: basis rows are orthonormal, ||H||_2 <= sqrt(v)
-        atol = 1e-8 * max(1.0, float(np.sqrt(s.v)))
-        out = tuple(float_rank(b @ hf, atol) for b in spec.bases)
+    counts = _cell_relation_counts(s, part)
+    p, v, r = spec.p_matrix, s.v, range(s.d + 1)
+    scale = 1.0 / np.sqrt(np.array(part.cell_sizes, dtype=float))
+    out = []
+    for j, m in enumerate(spec.multiplicities):
+        coef = [m * p[j][i] / (v * s.valencies[i]) for i in r]
+        if spec.exact:
+            out.append(rank(RationalMatrix(
+                [[sum(coef[i] * counts[i][a][b] for i in r)
+                  for b in range(part.t)] for a in range(part.t)])))
+        else:
+            block = sum(c * np.array(n, dtype=float) for c, n in zip(coef, counts))
+            out.append(float_rank(scale[:, None] * block * scale, 1e-8))
+    out = tuple(out)
     if sum(out) < part.t:
         raise InternalConsistencyError(
             f"subduced dimensions sum to {sum(out)}, below t={part.t}")
@@ -206,17 +232,34 @@ class LloydResult:
     all_pass: bool
 
 
+def _relation_char_poly(s: AssociationScheme, i: int) -> Polynomial:
+    """char(A_i) from the power sums tr(A_i^k) = v (L_i^k)_00, k = 1..v.
+
+    (L_i)_kj = p^k_ij is multiplication by A_i on the basis A_0..A_d, and
+    only A_0 has a non-zero trace, so the traces come from the intersection
+    numbers alone, in exact integer arithmetic.
+    """
+    r = range(s.d + 1)
+    x = [1] + [0] * s.d  # coordinates of A_i^k, starting at A_0
+    sums = []
+    for _ in range(s.v):
+        x = [sum(s.intersection[i][j][k] * x[j] for j in r) for k in r]
+        sums.append(s.v * x[0])
+    return poly_from_power_sums(sums)
+
+
 def lloyd_check(s: AssociationScheme, part: Partition,
                 eq: EquitabilityResult | None = None) -> LloydResult:
     """Lloyd divisibility: char(N_i) | char(A_i) for every relation.
 
     Only defined for equitable partitions, where the quotients exist.
+    char(A_i) comes from the intersection numbers, not from A_i or P.
     """
     eq = eq if eq is not None else is_equitable(s, part)
     if not eq.equitable:
         raise NotEquitableError("Lloyd check needs an equitable partition")
     verdicts = tuple(
-        poly_divides(char_poly(eq.quotients[i]), char_poly(s.relations[i]))
+        poly_divides(char_poly(eq.quotients[i]), _relation_char_poly(s, i))
         for i in range(s.d + 1))
     return LloydResult(divides=verdicts, all_pass=all(verdicts))
 
@@ -259,9 +302,14 @@ def fixed_relation_counts(s: AssociationScheme, images: tuple[int, ...]
 
 
 def is_scheme_automorphism(s: AssociationScheme, images: tuple[int, ...]) -> bool:
-    """True iff the permutation matrix commutes with every relation matrix."""
-    p = permutation_matrix(images)
-    return all(p @ a == a @ p for a in s.relations)
+    """True iff the permutation matrix commutes with every relation matrix.
+
+    Tested on the relation table: sigma is an automorphism exactly when
+    (sigma x, sigma y) is in the same relation as (x, y) for all x, y.
+    """
+    rel = s.relation_of
+    return all(tuple(rel[sx][sy] for sy in images) == rel[x]
+               for x, sx in enumerate(images))
 
 
 @dataclass(frozen=True)

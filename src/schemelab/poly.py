@@ -1,8 +1,10 @@
 """Exact rational polynomials and characteristic polynomials.
 
-Characteristic polynomials are computed by the Faddeev-LeVerrier recurrence,
-which only ever divides by integers and is therefore exact over the
-rationals.
+A characteristic polynomial is built from the power sums of its roots by
+Newton's identities (``poly_from_power_sums``), which only ever divide by
+integers and are therefore exact over the rationals. ``char_poly`` feeds it
+tr(m^k); Lloyd's test feeds it tr(A_i^k) = v (L_i^k)_00, read off the
+intersection numbers, so no v x v characteristic polynomial is formed.
 """
 from __future__ import annotations
 
@@ -127,49 +129,42 @@ def poly_divides(p: Polynomial, q: Polynomial) -> bool:
     return rem.is_zero
 
 
+def poly_from_power_sums(sums: Sequence) -> Polynomial:
+    """Monic polynomial of degree n = len(sums) whose roots have power sums
+    sums[k-1] = sum_r r^k, k = 1..n, by Newton's identities.
+
+    With e_0 = 1, k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i, and the
+    coefficient of x^(n-k) is (-1)^k e_k. Only divides by integers, so it is
+    exact over the rationals; integer power sums of algebraic integers (the
+    traces of powers of an integer matrix) keep it in plain int arithmetic.
+    """
+    n = len(sums)
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                  for i in range(1, k + 1))
+        e.append(acc // k if acc % k == 0 else Fraction(acc) / k)
+    return Polynomial([(-1) ** (n - j) * e[n - j] for j in range(n + 1)])
+
+
 def char_poly(m: RationalMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - m), exact.
 
-    Faddeev-LeVerrier recurrence: M_k = m M_{k-1} + c_{n-k+1} I and
-    c_{n-k} = -tr(m M_k) / k; tr(m M_k) is accumulated directly instead of
-    forming the product. Integer matrices keep the whole recurrence in
-    plain int arithmetic (the coefficients and every M_k stay integral),
-    which avoids a gcd per operation.
+    The power sums of the eigenvalues are tr(m^k), k = 1..n, which
+    ``poly_from_power_sums`` turns into coefficients. Integer matrices keep
+    the powers in plain int arithmetic, which avoids a gcd per operation.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if all(x.denominator == 1 for row in m.rows for x in row):
-        return Polynomial(_char_poly_int(
-            [[int(x) for x in row] for row in m.rows]))
     n = m.nrows
-    rows = [list(r) for r in m.rows]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[int(x) if x.denominator == 1 else x for x in row] for row in m.rows]
+    power, sums = rows, []
     for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        mk = [[sum(rows[i][l] * mk[l][j] for l in range(n))
-               + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        trace = sum(rows[i][j] * mk[j][i] for i in range(n) for j in range(n))
-        coeffs[n - k] = -trace / k
-    return Polynomial(coeffs)
-
-
-def _char_poly_int(rows: list[list[int]]) -> list[int]:
-    n = len(rows)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        mk = [[sum(rows[i][l] * mk[l][j] for l in range(n))
-               + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        trace = sum(rows[i][j] * mk[j][i] for i in range(n) for j in range(n))
-        if trace % k:
-            raise ArithmeticError("integer recurrence produced a non-integer "
-                                  "coefficient")
-        coeffs[n - k] = -(trace // k)
-    return coeffs
+        sums.append(sum(power[i][i] for i in range(n)))
+        if k < n:
+            power = [[sum(power[i][l] * rows[l][j] for l in range(n))
+                      for j in range(n)] for i in range(n)]
+    return poly_from_power_sums(sums)
 
 
 def integer_roots(p: Polynomial, bound: int | None = None

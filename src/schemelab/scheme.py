@@ -9,6 +9,7 @@ here, and arbitrary relation matrices can be verified directly.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -260,6 +261,12 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
     return AxiomReport(True, scheme=scheme)
 
 
+def check_size_cap(v: int, max_vertices: int) -> None:
+    """Raise InputError when a scheme on v vertices exceeds the size cap."""
+    if v > max_vertices:
+        raise InputError(f"{v} vertices exceeds the size cap {max_vertices}")
+
+
 def _all_pairs_distances(g: LabeledGraph) -> list[list[int]]:
     dist = []
     for s in range(g.v):
@@ -287,8 +294,7 @@ def from_distance_regular_graph(g: LabeledGraph,
     the scheme axioms; a graph that is not distance-regular fails axiom 4
     and raises NotDistanceRegularError naming the violated triple (i, j, k).
     """
-    if g.v > max_vertices:
-        raise InputError(f"{g.v} vertices exceeds the size cap {max_vertices}")
+    check_size_cap(g.v, max_vertices)
     dist = _all_pairs_distances(g)
     diameter = max(max(row) for row in dist)
     mats = [RationalMatrix([[int(dist[x][y] == i) for y in range(g.v)]
@@ -324,13 +330,18 @@ def petersen_graph() -> LabeledGraph:
     return LabeledGraph.from_edge_labels(pairs, labels=outer + inner)
 
 
+def _hamming_order(n: int, q: int) -> int:
+    if n < 1 or q < 2:
+        raise InputError("hamming family needs n >= 1 and q >= 2")
+    return q ** n
+
+
 def hamming_graph(n: int, q: int) -> LabeledGraph:
     """Hamming graph H(n, q): q-ary words of length n, adjacent at distance 1.
 
     Words are ordered lexicographically.
     """
-    if n < 1 or q < 2:
-        raise InputError("hamming family needs n >= 1 and q >= 2")
+    _hamming_order(n, q)
     words = list(itertools.product(range(q), repeat=n))
     sep = "" if q <= 10 else "-"
     labels = [sep.join(str(x) for x in w) for w in words]
@@ -342,13 +353,18 @@ def hamming_graph(n: int, q: int) -> LabeledGraph:
     return LabeledGraph.from_edge_labels(pairs, labels=labels)
 
 
+def _johnson_order(n: int, k: int) -> int:
+    if not (0 < k and 2 * k <= n):
+        raise InputError("johnson family needs 0 < k <= n/2")
+    return math.comb(n, k)
+
+
 def johnson_graph(n: int, k: int) -> LabeledGraph:
     """Johnson graph J(n, k): k-subsets, adjacent when they share k-1 points.
 
     Subsets are ordered colexicographically.
     """
-    if not (0 < k and 2 * k <= n):
-        raise InputError("johnson family needs 0 < k <= n/2")
+    _johnson_order(n, k)
     subsets = sorted(itertools.combinations(range(n), k),
                      key=lambda c: tuple(reversed(c)))
     labels = [",".join(str(x) for x in s) for s in subsets]
@@ -360,19 +376,26 @@ def johnson_graph(n: int, k: int) -> LabeledGraph:
     return LabeledGraph.from_edge_labels(pairs, labels=labels)
 
 
-def cycle_graph(n: int) -> LabeledGraph:
+def _cycle_order(n: int) -> int:
     if n < 3:
         raise InputError("cycle needs at least 3 vertices")
+    return n
+
+
+def cycle_graph(n: int) -> LabeledGraph:
+    _cycle_order(n)
     return LabeledGraph.from_edge_labels(
         [(str(i), str((i + 1) % n)) for i in range(n)],
         labels=[str(i) for i in range(n)])
 
 
+# family -> (graph builder, parameter count, vertex count from the
+# parameters, which validates them first)
 _FAMILIES = {
-    "petersen": (petersen_graph, 0),
-    "hamming": (hamming_graph, 2),
-    "johnson": (johnson_graph, 2),
-    "cycle": (cycle_graph, 1),
+    "petersen": (petersen_graph, 0, lambda: 10),
+    "hamming": (hamming_graph, 2, _hamming_order),
+    "johnson": (johnson_graph, 2, _johnson_order),
+    "cycle": (cycle_graph, 1, _cycle_order),
 }
 
 
@@ -380,16 +403,19 @@ def named_scheme(family: str, *params: int,
                  max_vertices: int = DEFAULT_MAX_VERTICES) -> AssociationScheme:
     """Scheme of a named distance-regular family.
 
-    Families: petersen; hamming(n, q); johnson(n, k); cycle(n).
+    Families: petersen; hamming(n, q); johnson(n, k); cycle(n). The size
+    cap is checked on the vertex count the parameters give, before the
+    graph is built.
     """
     key = family.lower()
     if key not in _FAMILIES:
         raise InputError(f"unknown family {family!r}; "
                          f"choose from {', '.join(sorted(_FAMILIES))}")
-    builder, arity = _FAMILIES[key]
+    builder, arity, order = _FAMILIES[key]
     if len(params) != arity:
         raise InputError(f"family {key!r} takes {arity} parameter(s), "
                          f"got {len(params)}")
+    check_size_cap(order(*params), max_vertices)
     return from_distance_regular_graph(builder(*params), max_vertices=max_vertices)
 
 

@@ -4,9 +4,13 @@ The decomposition is computed from the intersection numbers alone. The
 intersection matrices L_i, with (L_i)_kj = p^k_ij, are (d+1)x(d+1) and
 commute; the rows of P are their common left eigenvectors, and P_ji is the
 eigenvalue of L_i on row j. From P follow the multiplicities
-m_j = v / sum_i P_ji^2/k_i, Q = v P^{-1}, the primitive idempotents
-E_j = (1/v) sum_i Q_ij A_i, and the maximal common eigenspace W_j as the
-row space of E_j.
+m_j = v / sum_i P_ji^2/k_i, Q = v P^{-1} and the primitive idempotents
+E_j = (1/v) sum_i Q_ij A_i. Each E_j is checked through P alone: row j
+of P must be a character of the algebra, P_ja P_jb = sum_c p^c_ab P_jc,
+which with the duality Q_ij k_i = P_ji m_j gives E_j E_k = delta_jk E_j and
+rank(E_j) = tr(E_j) = m_j. No v x v matrix is row-reduced, diagonalised or
+given a characteristic polynomial; the maximal common eigenspace W_j, the
+row space of E_j, is only computed when ``SpectralData.bases`` is read.
 
 When every L_i has a rational spectrum (its eigenvalues are those of A_i)
 everything is exact rational arithmetic. Otherwise the symmetrized
@@ -21,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,15 +46,13 @@ _FLOAT_CHECK_TOL = 1e-8
 class SpectralData:
     """Spectral decomposition of a scheme, exact or floating point.
 
-    ``bases[j]`` holds rows spanning W_j (in exact mode a RationalMatrix,
-    the non-zero rows of rref(E_j); in float mode an ndarray with
-    orthonormal rows). ``p_matrix[j][i]`` is the eigenvalue of A_i on W_j;
-    ``q_matrix`` is its dual with P Q = v I.
+    ``p_matrix[j][i]`` is the eigenvalue of A_i on W_j; ``q_matrix`` is its
+    dual with P Q = v I; ``idempotents[j]`` is E_j. ``bases`` is derived
+    from the E_j when first read.
     """
 
     mode: str  # "exact" | "float"
     eigen_tol: float | None
-    bases: tuple
     multiplicities: tuple[int, ...]
     idempotents: tuple | None = None
     p_matrix: object | None = None
@@ -59,6 +62,23 @@ class SpectralData:
     @property
     def exact(self) -> bool:
         return self.mode == "exact"
+
+    @cached_property
+    def bases(self) -> tuple:
+        """Rows spanning each W_j, computed from E_j on first read.
+
+        Exact mode: a RationalMatrix, the non-zero rows of rref(E_j). Float
+        mode: an ndarray of orthonormal eigenvectors of E_j for eigenvalue 1.
+        """
+        out = []
+        for e in self.idempotents:
+            if self.exact:
+                reduced, rk, _ = rref(e)
+                out.append(RationalMatrix(reduced.rows[:rk]))
+            else:
+                w, vecs = np.linalg.eigh(e)
+                out.append(vecs[:, w > 0.5].T.copy())
+        return tuple(out)
 
 
 def _left_eigen_split(basis: RationalMatrix, a: RationalMatrix,
@@ -151,6 +171,26 @@ def _multiplicities(s: AssociationScheme, rows: list[list],
     return tuple(out)
 
 
+def _check_characters(s: AssociationScheme, rows: list[list],
+                      exact: bool) -> None:
+    """P_ja P_jb = sum_c p^c_ab P_jc for every row j of P and all a, b.
+
+    Row j is then a left eigenvector of every L_a with eigenvalue P_ja, i.e.
+    A_a -> P_ja is a character of the Bose-Mesner algebra.
+    """
+    r = range(s.d + 1)
+    tol = _FLOAT_CHECK_TOL * s.v
+    for j, row in enumerate(rows):
+        for a in r:
+            for b in r:
+                gap = row[a] * row[b] - sum(s.intersection[a][b][c] * row[c]
+                                            for c in r)
+                if (gap != 0) if exact else (abs(gap) > tol):
+                    raise InternalConsistencyError(
+                        f"row {j} of P is not a character: P_ja P_jb != "
+                        f"sum_c p^c_ab P_jc at a={a}, b={b}")
+
+
 def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None:
     """Integer eigenvalues (with multiplicity) of A_1..A_d, or None.
 
@@ -174,13 +214,15 @@ def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None
 
 def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
                        eigen_tol: float = DEFAULT_EIGEN_TOL) -> SpectralData:
-    """P, multiplicities, idempotents E_j and bases of the eigenspaces W_j.
+    """P, multiplicities and the idempotents E_j of the eigenspaces W_j.
 
     ``mode`` is "exact", "float", or "auto" (exact whenever every relation
     has a rational spectrum, else float with a warning recorded). Exactly
-    d+1 characters must emerge and rank(E_j) must equal m_j; anything else
-    raises InternalConsistencyError. Q is left to ``eigenmatrices``, which
-    verifies the duality Q_ij k_i = P_ji m_j that the E_j are built from.
+    d+1 rows must emerge, each with an integral multiplicity and each a
+    character (P_ja P_jb = sum_c p^c_ab P_jc, with ``==`` in exact mode and
+    within 1e-8 v in float mode); anything else raises
+    InternalConsistencyError. Q is left to ``eigenmatrices``, which verifies
+    the duality Q_ij k_i = P_ji m_j that the E_j are built from.
     """
     if mode not in ("auto", "exact", "float"):
         raise InputError(f"unknown mode {mode!r}")
@@ -196,30 +238,23 @@ def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
                         f"precision with eigenvalue tolerance {eigen_tol}",)
         rows = _eigenmatrix_rows(s, eigen_tol)
     mult = _multiplicities(s, rows, exact)
+    _check_characters(s, rows, exact)
     rel = s.relation_of
-    es, bases = [], []
+    es = []
     for row, m in zip(rows, mult):
         # column j of Q by duality: Q_ij = m_j P_ji / k_i
         if exact:
             coef = [m * Fraction(x) / (s.v * k) for x, k in zip(row, s.valencies)]
-            e = RationalMatrix([[coef[r] for r in rel_row] for rel_row in rel])
-            reduced, rk, _ = rref(e)
+            es.append(RationalMatrix([[coef[r] for r in rel_row]
+                                      for rel_row in rel]))
         else:
             coef = np.array([m * x / (s.v * k) for x, k in zip(row, s.valencies)])
-            e = coef[np.array(rel)]
-            w, vecs = np.linalg.eigh(e)
-            rk = int((w > 0.5).sum())
-        if rk != m:
-            raise InternalConsistencyError(
-                f"rank(E_j) = {rk} differs from the multiplicity {m}")
-        es.append(e)
-        bases.append(RationalMatrix(reduced.rows[:rk]) if exact
-                     else vecs[:, w > 0.5].T.copy())
+            es.append(coef[np.array(rel)])
     p = RationalMatrix(rows) if exact else np.array(rows, dtype=float)
     return SpectralData(mode="exact" if exact else "float",
                         eigen_tol=None if exact else eigen_tol,
-                        bases=tuple(bases), multiplicities=mult,
-                        idempotents=tuple(es), p_matrix=p, warnings=warnings)
+                        multiplicities=mult, idempotents=tuple(es),
+                        p_matrix=p, warnings=warnings)
 
 
 def idempotents(spec: SpectralData) -> SpectralData:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -183,6 +184,29 @@ class TestRelationFileInputs:
         code, out, _ = run_cli(capsys, "verify", "--relations", str(rel))
         assert code == 1
         assert "violated axiom: 3" in out
+
+
+class TestSizeCap:
+    def test_family_refused_before_building(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("graph built before the size cap was checked")
+
+        monkeypatch.setattr(itertools, "combinations", never)
+        code, out, err = run_cli(capsys, "verify", "--family", "johnson,24,6")
+        assert code == 2 and out == ""
+        assert "134596 vertices exceeds the size cap 512" in err
+
+    @pytest.mark.parametrize("command", ["verify", "spectra"])
+    def test_relation_file_capped(self, capsys, tmp_path, k4, command):
+        from test_fileio import write_relation_file
+        rel = tmp_path / "k4.rel"
+        write_relation_file(rel, k4)
+        code, out, err = run_cli(capsys, command, "--relations", str(rel),
+                                 "--max-vertices", "3")
+        assert code == 2 and out == ""
+        assert "4 vertices exceeds the size cap 3" in err
+        assert run_cli(capsys, command, "--relations", str(rel),
+                       "--max-vertices", "4")[0] == 0
 
 
 class TestInternalErrorExitCode:

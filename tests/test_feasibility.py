@@ -1,10 +1,16 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import schemelab as sl
-from schemelab.poly import Polynomial, char_poly, poly_divides
-from schemelab.ratmat import RationalMatrix
+from schemelab.feasibility import _relation_char_poly
+from schemelab.floatlin import float_rank
+from schemelab.poly import Polynomial, char_poly, integer_roots, poly_divides
+from schemelab.ratmat import RationalMatrix, rank
+
+from test_spectra import numpy_eigen_multiset, product_scheme
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +292,118 @@ class TestFeasibilityReport:
         rep = sl.feasibility_report(petersen, petersen_spec,
                                     petersen_vertex_partition)
         assert rep.equitable and rep.lloyd.all_pass
+
+
+def faddeev_leverrier(m):
+    """Reference char(m) by the v x v Faddeev-LeVerrier recurrence:
+    M_k = m M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(m M_k) / k."""
+    n = m.nrows
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = RationalMatrix.zeros(n)
+    for k in range(1, n + 1):
+        mk = m @ mk + coeffs[n - k + 1] * RationalMatrix.identity(n)
+        coeffs[n - k] = -(m @ mk).trace() / k
+    return Polynomial(coeffs)
+
+
+class TestRelationCharPoly:
+    """char(A_i) from the power sums v (L_i^k)_00, against the v x v routes."""
+
+    def test_exact_families(self, exact_catalog):
+        k3 = sl.named_scheme("hamming", 1, 3)
+        for s in [*exact_catalog, product_scheme(k3, k3)]:
+            for i, a in enumerate(s.relations):
+                got = _relation_char_poly(s, i)
+                assert got == char_poly(a) == faddeev_leverrier(a)
+                roots, rest = integer_roots(got, bound=s.valencies[i])
+                assert rest.degree == 0
+                assert roots == numpy_eigen_multiset(a)
+
+    def test_cycles(self, cycle5, cycle7):
+        for s in (cycle5, cycle7):
+            for i, a in enumerate(s.relations):
+                got = _relation_char_poly(s, i)
+                assert got == char_poly(a) == faddeev_leverrier(a)
+                eigs = np.linalg.eigvalsh(np.array(a.rows, dtype=float))
+                coeffs = [float(c) for c in reversed(got.coeffs)]
+                assert np.abs(np.poly(eigs) - coeffs).max() < 1e-9
+
+
+def random_partition(s, rng):
+    order = list(range(s.v))
+    rng.shuffle(order)
+    t = rng.randint(1, s.v)
+    cells = [[x] for x in order[:t]]
+    for x in order[t:]:
+        rng.choice(cells).append(x)
+    return sl.make_partition(s, [[s.labels[x] for x in c] for c in cells])
+
+
+class TestSubducedAgainstBases:
+    """rank(H^T E_j H) from t x t cell counts against rank(basis of W_j @ H)."""
+
+    @staticmethod
+    def reference(s, spec, part):
+        h = part.characteristic_matrix()
+        if spec.exact:
+            return tuple(rank(b @ h) for b in spec.bases)
+        hf = np.array(h.rows, dtype=float)
+        atol = 1e-8 * max(1.0, float(np.sqrt(s.v)))
+        return tuple(float_rank(b @ hf, atol) for b in spec.bases)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_random_and_distance_partitions(self, exact_catalog, cycle5,
+                                            cycle7, mode):
+        rng = random.Random(11)
+        schemes = exact_catalog + ([cycle5, cycle7] if mode == "float" else [])
+        non_equitable = 0
+        for s in schemes:
+            spec = sl.spectral_data(s, mode=mode)
+            parts = [random_partition(s, rng) for _ in range(12)]
+            parts.append(sl.distance_partition(s, 1, [s.labels[0]])[0])
+            for part in parts:
+                non_equitable += not sl.is_equitable(s, part).equitable
+                assert sl.subduced_multiplicities(s, spec, part) == \
+                    self.reference(s, spec, part)
+        assert non_equitable > 0
+
+    def test_library_leaves_bases_unbuilt(self, petersen,
+                                          petersen_vertex_partition):
+        spec = sl.spectral_data(petersen)
+        sl.feasibility_report(petersen, spec, petersen_vertex_partition)
+        sl.verify_equitable_multiplicities(petersen, spec,
+                                           petersen_vertex_partition)
+        assert "bases" not in vars(spec)
+
+
+class TestAutomorphismTable:
+    """The relation-table test against P_sigma A_i = A_i P_sigma."""
+
+    @staticmethod
+    def commutes(s, images):
+        p = sl.permutation_matrix(images)
+        return all(p @ a == a @ p for a in s.relations)
+
+    def test_agrees_with_matrix_commutation(self, petersen, hamming32,
+                                            johnson52, cycle7):
+        def johnson_swap(label):
+            swap = {"0": "1", "1": "0"}
+            points = sorted(int(swap.get(x, x)) for x in label.split(","))
+            return ",".join(str(x) for x in points)
+
+        real = [
+            (petersen, rotation_map().get),
+            (hamming32, lambda w: str(1 - int(w[0])) + w[1:]),
+            (johnson52, johnson_swap),
+            (cycle7, lambda lab: str((int(lab) + 1) % 7)),
+        ]
+        rng = random.Random(5)
+        for s, relabel in real:
+            sigma = tuple(s.vertex(relabel(lab)) for lab in s.labels)
+            assert sigma != tuple(range(s.v))
+            assert sl.is_scheme_automorphism(s, sigma)
+            perms = [tuple(range(s.v)), sigma]
+            perms += [tuple(rng.sample(range(s.v), s.v)) for _ in range(20)]
+            for images in perms:
+                assert sl.is_scheme_automorphism(s, images) == \
+                    self.commutes(s, images)

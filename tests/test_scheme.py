@@ -172,6 +172,21 @@ class TestNamedSchemes:
         with pytest.raises(sl.InputError):
             sl.named_scheme("hamming", 10, 2, max_vertices=512)
 
+    def test_size_cap_checked_before_building(self, monkeypatch):
+        # C(24, 6) = 134596 vertices: building the graph would take minutes
+        def never(*args):
+            raise AssertionError("graph built before the size cap was checked")
+
+        monkeypatch.setattr(itertools, "combinations", never)
+        monkeypatch.setattr(itertools, "product", never)
+        with pytest.raises(sl.InputError,
+                           match="134596 vertices exceeds the size cap 512"):
+            sl.named_scheme("johnson", 24, 6)
+        with pytest.raises(sl.InputError, match="2048 vertices"):
+            sl.named_scheme("hamming", 11, 2)
+        with pytest.raises(sl.InputError, match="needs 0 < k <= n/2"):
+            sl.named_scheme("johnson", 24, 20)
+
 
 class TestSchemeStructure:
     def test_relations_partition_and_valencies(self, exact_catalog):

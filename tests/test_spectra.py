@@ -295,3 +295,21 @@ class TestProjectOntoAlgebra:
         spec = sl.spectral_data(cycle5)
         a1 = np.array(cycle5.relations[1].rows, dtype=float)
         assert np.abs(sl.project_onto_algebra(a1, cycle5, spec) - a1).max() < 1e-8
+
+
+class TestCharacterCheck:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_swapped_eigenvalues_raise(self, hamming32, monkeypatch, mode):
+        from schemelab import spectra
+        original = spectra._eigenmatrix_rows
+
+        def swapped(s, eigen_tol):
+            # rows (1,1,-1,-1) and (1,-1,-1,1) become (1,-1,-1,-1) and
+            # (1,1,-1,1): both still give the integral multiplicity 3
+            rows = original(s, eigen_tol)
+            rows[1][1], rows[2][1] = rows[2][1], rows[1][1]
+            return rows
+
+        monkeypatch.setattr(spectra, "_eigenmatrix_rows", swapped)
+        with pytest.raises(sl.InternalConsistencyError, match="not a character"):
+            sl.spectral_data(hamming32, mode=mode)

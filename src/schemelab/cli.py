@@ -426,7 +426,8 @@ def main(argv=None) -> int:
     as_json = getattr(args, "json", False)
     try:
         report, code = args.handler(args, argv)
-    except (InputError, IrrationalSpectrumError, OSError) as e:
+    except (InputError, IrrationalSpectrumError, NotDistanceRegularError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except InternalConsistencyError as e:

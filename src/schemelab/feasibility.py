@@ -26,10 +26,9 @@ import numpy as np
 from .errors import (InputError, InternalConsistencyError,
                      NotAutomorphismError, NotEquitableError)
 from .floatlin import float_rank
-from .partition import (EquitabilityResult, Partition, is_equitable,
-                        partition_projector)
+from .partition import EquitabilityResult, Partition, is_equitable
 from .poly import Polynomial, char_poly, poly_divides, poly_from_power_sums
-from .ratmat import RationalMatrix, inner_product, rank
+from .ratmat import RationalMatrix, rank
 from .scheme import AssociationScheme
 from .spectra import SpectralData
 
@@ -97,26 +96,26 @@ def godsil_condition(s: AssociationScheme, spec: SpectralData, part: Partition,
     """Projection-integrality condition on a partition projector.
 
     Needs no equitability: the values depend only on the projector. Each
-    value is cross-checked against a direct tr(F E_j) computation before the
-    verdicts (non-negative integer?) are issued.
+    value is cross-checked against tr(F E_j) = sum over cells C of
+    (1/|C|) sum_{x, y in C} (E_j)_xy, read off the entries of E_j, before
+    the verdicts (non-negative integer?) are issued.
     """
     if spec.p_matrix is None or spec.idempotents is None:
         raise InputError("spectral data is incomplete; run spectral_data()")
     profile = trace_profile(s, part)
     values = _projection_values(s, spec, profile)
-    f = partition_projector(part)
-    if spec.exact:
-        for j, e in enumerate(spec.idempotents):
-            if inner_product(f, e) != values[j]:
-                raise InternalConsistencyError(
-                    "formula and direct <F, E_j> computations disagree")
-    else:
-        ff = np.array(f.rows, dtype=float)
-        for j, e in enumerate(spec.idempotents):
-            direct = float((ff * np.asarray(e)).sum())
-            if abs(direct - values[j]) > max(int_tol, 1e-8):
-                raise InternalConsistencyError(
-                    "formula and direct <F, E_j> computations disagree")
+    for j, e in enumerate(spec.idempotents):
+        if spec.exact:
+            direct = sum(sum(e[x][y] for x in c for y in c) / len(c)
+                         for c in part.cells)
+            agree = direct == values[j]
+        else:
+            direct = sum(float(e[np.ix_(c, c)].sum()) / len(c)
+                         for c in part.cells)
+            agree = abs(direct - values[j]) <= max(int_tol, 1e-8)
+        if not agree:
+            raise InternalConsistencyError(
+                "formula and direct <F, E_j> computations disagree")
     verdicts = tuple(_integrality(x, spec.mode, int_tol, require_nonneg=True)
                      for x in values)
     return GodsilResult(values=values, verdicts=verdicts,

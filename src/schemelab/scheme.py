@@ -2,9 +2,11 @@
 
 A scheme is a family of 0/1 relation matrices A_0..A_d on a vertex set V
 with A_0 = I, sum A_i = J, every A_i symmetric, and every product A_i A_j
-an integer combination of the family. Distance-regular graphs give the main
-examples; named families (Hamming, Johnson, cycles, Petersen) are built
-here, and arbitrary relation matrices can be verified directly.
+an integer combination of the family; it is stored as its relation table,
+on which product closure is counted in integers. Distance-regular graphs
+give the main examples; named families (Hamming, Johnson, cycles,
+Petersen) are built here, and arbitrary relation matrices can be verified
+directly.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InputError, NotDistanceRegularError
 from .ratmat import RationalMatrix
@@ -92,13 +96,15 @@ class LabeledGraph:
 class AssociationScheme:
     """Verified symmetric association scheme.
 
-    Immutable after construction; always built through ``verify_axioms`` or
-    one of the graph constructors, so the stored intersection numbers and
-    valencies are trustworthy.
+    The relations are stored once, as the table ``relation_of[x][y]`` = the
+    unique i with (x, y) in R_i; the 0/1 matrices A_i are built from it when
+    ``relations`` is first read. Immutable after construction; always built
+    through ``verify_axioms`` or one of the graph constructors, so the
+    stored intersection numbers and valencies are trustworthy.
     """
 
     labels: tuple[str, ...]
-    relations: tuple[RationalMatrix, ...]
+    relation_of: tuple[tuple[int, ...], ...]
     valencies: tuple[int, ...]
     intersection: tuple[tuple[tuple[int, ...], ...], ...]  # p[i][j][k]
 
@@ -108,7 +114,7 @@ class AssociationScheme:
 
     @property
     def d(self) -> int:
-        return len(self.relations) - 1
+        return len(self.valencies) - 1
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -121,25 +127,18 @@ class AssociationScheme:
             raise InputError(f"unknown vertex label {label!r}") from None
 
     @cached_property
-    def relation_of(self) -> tuple[tuple[int, ...], ...]:
-        """relation_of[x][y] = the unique i with (x, y) in R_i."""
-        table = [[-1] * self.v for _ in range(self.v)]
-        for i, a in enumerate(self.relations):
-            for x in range(self.v):
-                row = a[x]
-                for y in range(self.v):
-                    if row[y]:
-                        table[x][y] = i
-        return tuple(tuple(r) for r in table)
+    def relations(self) -> tuple[RationalMatrix, ...]:
+        """The relation matrices A_0..A_d, built from the table."""
+        return tuple(RationalMatrix([[int(r == i) for r in row]
+                                     for row in self.relation_of])
+                     for i in range(self.d + 1))
 
     @cached_property
     def relation_neighbors(self) -> tuple[tuple[frozenset[int], ...], ...]:
         """relation_neighbors[i][x] = {y : (x, y) in R_i}."""
-        out = []
-        for a in self.relations:
-            out.append(tuple(frozenset(y for y in range(self.v) if a[x][y])
-                             for x in range(self.v)))
-        return tuple(out)
+        return tuple(tuple(frozenset(y for y, r in enumerate(row) if r == i)
+                           for row in self.relation_of)
+                     for i in range(self.d + 1))
 
     def p(self, i: int, j: int, k: int) -> int:
         return self.intersection[i][j][k]
@@ -156,7 +155,56 @@ class AxiomReport:
     scheme: AssociationScheme | None = field(default=None, compare=False)
 
 
-def _coerce_binary(matrices) -> list[RationalMatrix]:
+def _closure(table, labels) -> AxiomReport:
+    """Axiom 4 on a relation table whose relations satisfy axioms 1-3.
+
+    table[x][y] = i for (x, y) in R_i. Each A_i A_j with i <= j is an
+    int64 product of 0/1 indicator arrays; its entry (x, y) counts the z
+    with (x, z) in R_i and (z, y) in R_j, so it is at most v and exact.
+    p^k_ij is read at the first pair of R_k and checked on all of R_k. As
+    A_j A_i = (A_i A_j)^T and every R_k is symmetric, a product (j, i) with
+    j > i fails only if (i, j) does, so the witness is the first
+    (i, j, k, x, y) of the scan over all ordered pairs (i, j).
+    """
+    rel = np.array(table, dtype=np.intp)
+    v, d = len(rel), int(rel.max())
+    ind = [(rel == i).astype(np.int64) for i in range(d + 1)]
+    first = [int(np.argmax(a)) for a in ind]  # flat index of R_k's first pair
+    p = [[None] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            prod = ind[i] @ ind[j]
+            coeff = prod.ravel()[first]
+            bad = prod != coeff[rel]
+            if bad.any():
+                k = int(rel[bad].min())
+                x, y = divmod(int(np.argmax(bad & (rel == k))), v)
+                return AxiomReport(
+                    False, 4,
+                    f"A_{i} A_{j} is not constant on the support of A_{k}: "
+                    f"entry ({x},{y}) is {prod[x, y]}, expected {coeff[k]}",
+                    (i, j, k, x, y))
+            p[i][j] = p[j][i] = tuple(int(c) for c in coeff)
+    scheme = AssociationScheme(
+        labels=labels,
+        relation_of=tuple(tuple(row) for row in table),
+        valencies=tuple(p[i][i][0] for i in range(d + 1)),
+        intersection=tuple(tuple(plane) for plane in p),
+    )
+    return AxiomReport(True, scheme=scheme)
+
+
+def verify_axioms(matrices, labels=None) -> AxiomReport:
+    """Check the four scheme axioms on a family of square matrices.
+
+    Returns a report with the first violated axiom and a witness, or, when
+    all hold, the populated AssociationScheme (valencies and intersection
+    numbers included). Non-square or mixed-dimension input raises
+    InputError; entries outside {0, 1} are reported as an axiom-2 failure
+    since they break the partition of V x V. Axioms 1-3 are checked on the
+    matrices; the partition scan builds the relation table, on which axiom
+    4 is counted in integers.
+    """
     mats = [m if isinstance(m, RationalMatrix) else RationalMatrix(m)
             for m in matrices]
     if not mats:
@@ -167,20 +215,6 @@ def _coerce_binary(matrices) -> list[RationalMatrix]:
             raise InputError("relation matrices must be square")
         if m.nrows != n:
             raise InputError("relation matrices have mixed dimensions")
-    return mats
-
-
-def verify_axioms(matrices, labels=None) -> AxiomReport:
-    """Check the four scheme axioms on a family of square matrices.
-
-    Returns a report with the first violated axiom and a witness, or, when
-    all hold, the populated AssociationScheme (valencies and intersection
-    numbers included). Non-square or mixed-dimension input raises
-    InputError; entries outside {0, 1} are reported as an axiom-2 failure
-    since they break the partition of V x V.
-    """
-    mats = _coerce_binary(matrices)
-    n = mats[0].nrows
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
@@ -205,15 +239,14 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
             return AxiomReport(False, 2, f"relation A_{idx} is empty; "
                                "relations must be non-empty subsets of V x V",
                                (idx,))
-    total = mats[0]
-    for m in mats[1:]:
-        total = total + m
-    if total != RationalMatrix.ones(n):
-        pos = next((x, y) for x in range(n) for y in range(n)
-                   if total[x][y] != 1)
+    hits = [[[i for i, m in enumerate(mats) if m[x][y]] for y in range(n)]
+            for x in range(n)]
+    pos = next(((x, y) for x in range(n) for y in range(n)
+                if len(hits[x][y]) != 1), None)
+    if pos is not None:
         return AxiomReport(False, 2,
                            f"relations do not partition V x V at {pos} "
-                           f"(sum entry {total[pos[0]][pos[1]]})", pos)
+                           f"(sum entry {len(hits[pos[0]][pos[1]])})", pos)
 
     for idx, m in enumerate(mats):
         if not m.is_symmetric():
@@ -221,44 +254,7 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
                        if m[x][y] != m[y][x])
             return AxiomReport(False, 3, f"A_{idx} is not symmetric", (idx,) + pos)
 
-    d = len(mats) - 1
-    supports = []
-    for m in mats:
-        supports.append(next((x, y) for x in range(n) for y in range(n)
-                             if m[x][y] == 1))
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            prod = mats[i] @ mats[j]
-            coeff = [prod[x][y] for x, y in supports]
-            for k in range(d + 1):
-                mk = mats[k]
-                for x in range(n):
-                    prow, krow = prod[x], mk[x]
-                    for y in range(n):
-                        if krow[y] and prow[y] != coeff[k]:
-                            return AxiomReport(
-                                False, 4,
-                                f"A_{i} A_{j} is not constant on the support "
-                                f"of A_{k}: entry ({x},{y}) is {prow[y]}, "
-                                f"expected {coeff[k]}",
-                                (i, j, k, x, y))
-                c = coeff[k]
-                if c.denominator != 1 or c < 0:
-                    return AxiomReport(False, 4,
-                                       f"coefficient of A_{k} in A_{i} A_{j} "
-                                       f"is {c}, not a non-negative integer",
-                                       (i, j, k))
-                p[i][j][k] = int(c)
-
-    valencies = tuple(p[i][i][0] for i in range(d + 1))
-    scheme = AssociationScheme(
-        labels=labels,
-        relations=tuple(mats),
-        valencies=valencies,
-        intersection=tuple(tuple(tuple(row) for row in plane) for plane in p),
-    )
-    return AxiomReport(True, scheme=scheme)
+    return _closure([[h[0] for h in row] for row in hits], labels)
 
 
 def check_size_cap(v: int, max_vertices: int) -> None:
@@ -290,22 +286,18 @@ def from_distance_regular_graph(g: LabeledGraph,
                                 ) -> AssociationScheme:
     """Scheme of the distance relations of a connected distance-regular graph.
 
-    Distance matrices are built by breadth-first search and verified against
-    the scheme axioms; a graph that is not distance-regular fails axiom 4
+    Distances come from breadth-first search and form the relation table
+    directly. Axioms 1-3 hold by construction (distance 0 is the diagonal,
+    every distance up to the diameter occurs, distances are symmetric), so
+    only axiom 4 is checked; a graph that is not distance-regular fails it
     and raises NotDistanceRegularError naming the violated triple (i, j, k).
     """
     check_size_cap(g.v, max_vertices)
-    dist = _all_pairs_distances(g)
-    diameter = max(max(row) for row in dist)
-    mats = [RationalMatrix([[int(dist[x][y] == i) for y in range(g.v)]
-                            for x in range(g.v)])
-            for i in range(diameter + 1)]
-    report = verify_axioms(mats, labels=g.labels)
+    report = _closure(_all_pairs_distances(g), g.labels)
     if not report.ok:
-        triple = report.witness[:3] if report.axiom == 4 else None
         raise NotDistanceRegularError(
             f"graph is not distance-regular: axiom {report.axiom} fails "
-            f"({report.detail})", triple)
+            f"({report.detail})", report.witness[:3])
     return report.scheme
 
 

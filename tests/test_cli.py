@@ -186,6 +186,27 @@ class TestRelationFileInputs:
         assert "violated axiom: 3" in out
 
 
+class TestNotDistanceRegularInput:
+    @pytest.mark.parametrize("command, extra", [
+        ("spectra", []),
+        ("partition", ["--partition", "path.cells"]),
+        ("automorphism", ["--permutation", "path.perm"]),
+        ("search", ["--sizes", "1"]),
+    ])
+    def test_exit_2_with_message(self, capsys, tmp_path, monkeypatch,
+                                 command, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "path.edges").write_text("a b\nb c\nc d\n")
+        (tmp_path / "path.cells").write_text("a b c d\n")
+        (tmp_path / "path.perm").write_text("a b c d\n")
+        code, out, err = run_cli(capsys, command, "--edges", "path.edges",
+                                 "--drg", *extra)
+        assert (code, out) == (2, "")
+        assert err == ("error: graph is not distance-regular: axiom 4 fails "
+                       "(A_1 A_1 is not constant on the support of A_0: "
+                       "entry (1,1) is 2, expected 1)\n")
+
+
 class TestSizeCap:
     def test_family_refused_before_building(self, capsys, monkeypatch):
         def never(*args):

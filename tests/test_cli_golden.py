@@ -173,3 +173,132 @@ def test_exact_report_is_pinned(argv, golden_dir, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
         DIGESTS[" ".join(argv)]
+
+
+# -- verify reports ----------------------------------------------------------
+
+def _relation_text(blocks):
+    """Relation file for 0/1 blocks given as lists of rows."""
+    v = len(blocks[0])
+    return f"{v} {len(blocks) - 1}\n" + "\n".join(
+        "".join("".join(map(str, row)) + "\n" for row in block)
+        for block in blocks)
+
+
+def _table_blocks(v, relation):
+    """0/1 blocks A_0..A_d of a relation table given as relation(x, y)."""
+    d = max(relation(x, y) for x in range(v) for y in range(v))
+    return [[[int(relation(x, y) == i) for y in range(v)] for x in range(v)]
+            for i in range(d + 1)]
+
+
+def _split_hamming32(x, y):
+    """H(3,2) distances with distance 2 split by the middle coordinate:
+    2 if the words agree there, 3 if not; distance 3 becomes 4. The first
+    axiom-4 witness is (1, 2, 1, 0, 2)."""
+    a, b = format(x, "03b"), format(y, "03b")
+    dist = sum(p != q for p, q in zip(a, b))
+    if dist == 2:
+        return 2 if a[1] == b[1] else 3
+    return 4 if dist == 3 else dist
+
+
+IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+OFF3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+VERIFY_INPUTS = {
+    "axiom1.rel": _relation_text([[[0, 1], [1, 0]], [[1, 0], [0, 1]]]),
+    "nonbinary.rel": _relation_text([IDENT3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]]]),
+    "empty.rel": _relation_text([IDENT3, [[0] * 3] * 3, OFF3]),
+    "overlap.rel": _relation_text(
+        [IDENT3, OFF3, [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]),
+    "directed.rel": _relation_text(
+        [IDENT3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+         [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+    "path.rel": _relation_text(_table_blocks(4, lambda x, y: abs(x - y))),
+    "split-hamming-3-2.rel": _relation_text(_table_blocks(8, _split_hamming32)),
+    "path.edges": "a b\nb c\nc d\n",
+    "prism.edges": "a b\nb c\na c\nx y\ny z\nx z\na x\nb y\nc z\n",
+}
+
+
+def _verify_commands():
+    base = [["verify", "--family", family] for family in FAMILIES]
+    base += [["verify", "--relations", name] for name in VERIFY_INPUTS
+             if name.endswith(".rel")]
+    base += [["verify", "--edges", name, "--drg"] for name in VERIFY_INPUTS
+             if name.endswith(".edges")]
+    return [argv for b in base for argv in (b, b + ["--json"])]
+
+
+@pytest.fixture(scope="module")
+def verify_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("verify")
+    for name, text in VERIFY_INPUTS.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+# " ".join(argv) -> (sha256 of stdout, exit code)
+VERIFY_DIGESTS = {
+    "verify --family petersen":
+        ("0c857f499a491ed05fc380ead6bd5f0b401ce27ab1b0ec5e3191bd1bb565fc01", 0),
+    "verify --family petersen --json":
+        ("9f7c619df169b095ffdea28aad083cb61fda4d9e24b7329eb4099583a9822f91", 0),
+    "verify --family hamming,3,2":
+        ("76799f2a246088abc89139b6b4b949f8ed052aa21185103e27c222ee0e24ba92", 0),
+    "verify --family hamming,3,2 --json":
+        ("5ecd37d05f3e3a817b94ebc7b947eede3f4f9477359310c0a82c27e000217f95", 0),
+    "verify --family johnson,5,2":
+        ("ebb0e881e251ea7f21a54ca6884a5d1bd3731e540f9767d9d45ce920552835b4", 0),
+    "verify --family johnson,5,2 --json":
+        ("473ca4a5a0420d183c828654eeb1b63dd2b1db8be26e14749e27944fb310516b", 0),
+    "verify --family cycle,4":
+        ("a1644ded53dd24f09c4efdb878320986b81a8423222fba900ebf482b2780a8a6", 0),
+    "verify --family cycle,4 --json":
+        ("53de78cb6b7d76907b751e912efbed6fbddcefa389aaae42ff2c9a2d07915d0e", 0),
+    "verify --relations axiom1.rel":
+        ("7f4d59c8827b88d925f8c5392688d963d9b58f83ad7d868987196c1d85e2cc8a", 1),
+    "verify --relations axiom1.rel --json":
+        ("885131c360b7f6afb60d5eeb4ad977c524e128973b65445a4fbae96107e5d8df", 1),
+    "verify --relations nonbinary.rel":
+        ("84292db169c8ba407370019ae71a3c72d9afeffc55acaeac138d5e3c1882b1ce", 1),
+    "verify --relations nonbinary.rel --json":
+        ("0f9e42f203f5505a761866a14b62555a1f26d4e97927e5835dd0b870818ca16a", 1),
+    "verify --relations empty.rel":
+        ("01dca163fa97fb6282b64c3d1dc29bde830fe6cee9312f8e80b624aa8183c7fd", 1),
+    "verify --relations empty.rel --json":
+        ("1ed2a9a06fb21eb1dd2425ef0c21d74419c31926a254a2f1b1100096a4c16d45", 1),
+    "verify --relations overlap.rel":
+        ("fb59ba724e2c8067bac82eba5255fb469d8341134862e43a61622960f42e8a5e", 1),
+    "verify --relations overlap.rel --json":
+        ("582bbb749237ce2b8007861e1919c27d859f490ab935c3872476e93b3cd57149", 1),
+    "verify --relations directed.rel":
+        ("cb5d8ad6c219ea5dda8c929749ff0815fc07b766036598d83e75a0a553db7ba5", 1),
+    "verify --relations directed.rel --json":
+        ("5d7356efa3171ecfb447d268af6c469cdd75854c4ddee1d4cbf1c0a5ad91a150", 1),
+    "verify --relations path.rel":
+        ("fdfa45b46a9bfffc845710fbe96d2439bdb725645d04b40b8473a91ee496d372", 1),
+    "verify --relations path.rel --json":
+        ("7b9e604696a6df6fe166cd7719a474efcac44e5f15b96a8c74d6d42fa9e36790", 1),
+    "verify --relations split-hamming-3-2.rel":
+        ("b75009d477660c92e5d0890cf0fc6728b7fbdc5f139e0a40d9cf15c4d58c93cd", 1),
+    "verify --relations split-hamming-3-2.rel --json":
+        ("08b09b85789c5ad53193420fd8bb2481218ab10d6784991ae798c3980c5c6262", 1),
+    "verify --edges path.edges --drg":
+        ("436c58e99a2e80bd97724a8583817dd68855daf6687dacd33d0d62561ba6cfe4", 1),
+    "verify --edges path.edges --drg --json":
+        ("77adfe2b229b1f268e86b8f54e7470f8c74f5221fd6d803a9b25fb68a2ee8841", 1),
+    "verify --edges prism.edges --drg":
+        ("9d48eac86e449a196be549e81afba0a7842c389f6ba1b9a8880a05a28f3e2774", 1),
+    "verify --edges prism.edges --drg --json":
+        ("b7989e6427be762238d5242d3b79d28bde3dd88d071eaf48dfd892921c0460ec", 1),
+}
+
+
+@pytest.mark.parametrize("argv", _verify_commands(), ids=" ".join)
+def test_verify_report_is_pinned(argv, verify_dir, monkeypatch, capsys):
+    monkeypatch.chdir(verify_dir)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
+        VERIFY_DIGESTS[" ".join(argv)]

@@ -407,3 +407,28 @@ class TestAutomorphismTable:
             for images in perms:
                 assert sl.is_scheme_automorphism(s, images) == \
                     self.commutes(s, images)
+
+
+class TestProjectionCrossCheck:
+    """tr(F E_j) read off E_j must catch a wrong trace-profile formula."""
+
+    @pytest.mark.parametrize("name, mode", [("petersen", "exact"),
+                                            ("cycle5", "float")])
+    def test_perturbed_values_are_caught(self, request, monkeypatch,
+                                         name, mode):
+        import schemelab.feasibility as feasibility_module
+        s = request.getfixturevalue(name)
+        spec = sl.spectral_data(s)
+        assert spec.mode == mode
+        part, _ = sl.distance_partition(s, 1, [s.labels[0]])
+        sl.godsil_condition(s, spec, part)
+        original = feasibility_module._projection_values
+
+        def perturbed(*args):
+            values = original(*args)
+            return values[:-1] + (values[-1] + Fraction(1, 1000),)
+
+        monkeypatch.setattr(feasibility_module, "_projection_values",
+                            perturbed)
+        with pytest.raises(sl.InternalConsistencyError, match="disagree"):
+            sl.godsil_condition(s, spec, part)

@@ -205,3 +205,16 @@ class TestDistancePartition:
     def test_bad_relation_index(self, petersen):
         with pytest.raises(sl.InputError):
             sl.distance_partition(petersen, 9, ["0"])
+
+
+class TestQuotientIdentityCheck:
+    def test_wrong_count_profile_is_caught(self, petersen, monkeypatch):
+        # a constant profile passes the count test on every partition; the
+        # A_i H = H N_i pass over the relation table must reject it
+        import schemelab.partition as partition_module
+        monkeypatch.setattr(partition_module, "_count_profile",
+                            lambda s, part, i, x: (1,) * part.t)
+        part, _ = sl.distance_partition(petersen, 1, ["0"])
+        with pytest.raises(sl.InternalConsistencyError,
+                           match="A_0 H = H N_0 failed"):
+            sl.is_equitable(petersen, part)

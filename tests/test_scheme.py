@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -232,3 +233,98 @@ class TestSchemeStructure:
         counts = collections.Counter(
             petersen.relation_of[0][y] for y in range(10))
         assert counts == {0: 1, 1: 3, 2: 6}
+
+
+def matmul_axiom4(mats):
+    """First axiom-4 failure as (axiom, detail, witness), or None.
+
+    The reference route: every ordered product A_i A_j as a Fraction
+    matmul, scanned over (i, j), then k, then (x, y) in row-major order.
+    """
+    n, r = mats[0].nrows, range(len(mats))
+    supports = [next((x, y) for x in range(n) for y in range(n) if m[x][y])
+                for m in mats]
+    for i, j in itertools.product(r, r):
+        prod = mats[i] @ mats[j]
+        coeff = [prod[x][y] for x, y in supports]
+        for k in r:
+            for x, y in itertools.product(range(n), range(n)):
+                if mats[k][x][y] and prod[x][y] != coeff[k]:
+                    return (4, f"A_{i} A_{j} is not constant on the support "
+                            f"of A_{k}: entry ({x},{y}) is {prod[x][y]}, "
+                            f"expected {coeff[k]}", (i, j, k, x, y))
+    return None
+
+
+def table_matrices(table):
+    d = max(max(row) for row in table)
+    return [RationalMatrix([[int(r == i) for r in row] for row in table])
+            for i in range(d + 1)]
+
+
+def split_or_merge(table, rng):
+    """A random symmetric split of one relation, or a merge of two, with the
+    non-identity relations relabelled at random afterwards."""
+    v, d = len(table), max(max(row) for row in table)
+    out = [list(row) for row in table]
+    if d >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(1, d + 1), 2)
+        out = [[a if r == b else r for r in row] for row in out]
+    else:
+        r = rng.randint(1, d)
+        pairs = [(x, y) for x in range(v) for y in range(x + 1, v)
+                 if out[x][y] == r]
+        if len(pairs) < 2:
+            return None
+        moved = rng.sample(pairs, rng.randint(1, len(pairs) - 1))
+        for x, y in moved:
+            out[x][y] = out[y][x] = d + 1
+    used = sorted({r for row in out for r in row} - {0})
+    shuffled = rng.sample(used, len(used))
+    relabel = {0: 0, **{old: new for new, old in enumerate(shuffled, 1)}}
+    return [[relabel[r] for r in row] for row in out]
+
+
+class TestAxiomFourWitness:
+    def test_matches_matmul_scan_on_splits_and_merges(self, exact_catalog,
+                                                      cycle5, cycle7):
+        rng = random.Random(20261018)
+        outcomes = []
+        for s in exact_catalog + [cycle5, cycle7]:
+            for _ in range(12):
+                table = s.relation_of
+                for _ in range(rng.randint(1, 2)):
+                    table = split_or_merge(table, rng) or table
+                mats = table_matrices(table)
+                report = sl.verify_axioms(mats, labels=s.labels)
+                expected = matmul_axiom4(mats)
+                if expected is None:
+                    assert report.ok
+                    assert report.scheme.relation_of == tuple(map(tuple, table))
+                else:
+                    assert (report.axiom, report.detail, report.witness) \
+                        == expected
+                outcomes.append(expected)
+        # the variants reach passing schemes and witnesses past (i, j) = (1, 1)
+        assert any(e is None for e in outcomes)
+        assert any(e is not None and e[2][:2] > (1, 1) for e in outcomes)
+
+
+CATALOGUE = [("petersen",), ("hamming", 1, 4), ("hamming", 2, 3),
+             ("hamming", 3, 2), ("hamming", 4, 2), ("hamming", 3, 3),
+             ("johnson", 4, 2), ("johnson", 5, 2), ("johnson", 6, 2),
+             ("johnson", 6, 3), ("johnson", 7, 3)] + \
+    [("cycle", n) for n in range(3, 10)]
+
+
+class TestTableRoute:
+    @pytest.mark.parametrize("family", CATALOGUE, ids=str)
+    def test_agrees_with_matrix_route(self, family):
+        s = sl.named_scheme(*family)
+        assert s == sl.verify_axioms(s.relations, s.labels).scheme
+
+    def test_relations_built_on_first_read(self, hamming32):
+        s = sl.verify_axioms(hamming32.relations).scheme
+        assert "relations" not in vars(s)
+        assert s.relations == hamming32.relations
+        assert s.relations is s.relations

@@ -295,6 +295,10 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args, argv) -> tuple[Report, int]:
+    if args.dedup:
+        print("note: --dedup tests one code per inner-relation signature, but "
+              "a signature class can mix completely regular and other codes, "
+              "so some may be missed", file=sys.stderr)
     report = Report(_echo(argv))
     s = _load_scheme(args, report)
     spec = None
@@ -409,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
                    help="maximum number of candidates to test")
     p.add_argument("--dedup", action="store_true",
-                   help="skip subsets repeating an inner-relation signature")
+                   help="skip subsets repeating an inner-relation signature; "
+                        "unsound: a signature class can mix completely "
+                        "regular and other codes")
     p.add_argument("--feasibility", action="store_true",
                    help="attach feasibility data to each record")
     p.add_argument("--workers", type=int, default=1,

@@ -74,7 +74,9 @@ def search_completely_regular(s: AssociationScheme, i: int,
     Candidates are enumerated in lexicographic order (smaller sizes first)
     and every record comes from the direct distance-partition test. With
     ``dedup_by_signature`` only the first subset per inner-relation
-    multiset signature is tested. ``budget`` caps how many candidates are
+    multiset signature is tested; this is unsound, since one signature
+    class can hold both completely regular and other codes (on Petersen,
+    size 4, it reports 1 of the 20). ``budget`` caps how many candidates are
     tested; when it is hit the result is marked non-exhaustive. Each
     candidate is classified as it is enumerated. ``workers`` is accepted
     for compatibility and has no effect: the work is pure Python, which

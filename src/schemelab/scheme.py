@@ -158,17 +158,19 @@ class AxiomReport:
 def _closure(table, labels) -> AxiomReport:
     """Axiom 4 on a relation table whose relations satisfy axioms 1-3.
 
-    table[x][y] = i for (x, y) in R_i. Each A_i A_j with i <= j is an
-    int64 product of 0/1 indicator arrays; its entry (x, y) counts the z
-    with (x, z) in R_i and (z, y) in R_j, so it is at most v and exact.
-    p^k_ij is read at the first pair of R_k and checked on all of R_k. As
-    A_j A_i = (A_i A_j)^T and every R_k is symmetric, a product (j, i) with
-    j > i fails only if (i, j) does, so the witness is the first
-    (i, j, k, x, y) of the scan over all ordered pairs (i, j).
+    table[x][y] = i for (x, y) in R_i. Each A_i A_j with i <= j is a BLAS
+    float64 product of 0/1 indicator arrays; its entry (x, y) counts the z
+    with (x, z) in R_i and (z, y) in R_j, so every sum is an integer <= v,
+    exact for v < 2^53, far above the size cap. p^k_ij is read at the
+    first pair of R_k and checked on all of R_k. As A_j A_i = (A_i A_j)^T
+    and every R_k is symmetric, a product (j, i) with j > i fails only if
+    (i, j) does, so the witness is the first (i, j, k, x, y) of the scan
+    over all ordered pairs (i, j).
     """
     rel = np.array(table, dtype=np.intp)
     v, d = len(rel), int(rel.max())
-    ind = [(rel == i).astype(np.int64) for i in range(d + 1)]
+    assert v < 2 ** 53, "float64 counts are exact only for v < 2^53"
+    ind = [(rel == i).astype(np.float64) for i in range(d + 1)]
     first = [int(np.argmax(a)) for a in ind]  # flat index of R_k's first pair
     p = [[None] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
@@ -182,7 +184,8 @@ def _closure(table, labels) -> AxiomReport:
                 return AxiomReport(
                     False, 4,
                     f"A_{i} A_{j} is not constant on the support of A_{k}: "
-                    f"entry ({x},{y}) is {prod[x, y]}, expected {coeff[k]}",
+                    f"entry ({x},{y}) is {int(prod[x, y])}, "
+                    f"expected {int(coeff[k])}",
                     (i, j, k, x, y))
             p[i][j] = p[j][i] = tuple(int(c) for c in coeff)
     scheme = AssociationScheme(

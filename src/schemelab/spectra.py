@@ -12,13 +12,15 @@ rank(E_j) = tr(E_j) = m_j. No v x v matrix is row-reduced, diagonalised or
 given a characteristic polynomial; the maximal common eigenspace W_j, the
 row space of E_j, is only computed when ``SpectralData.bases`` is read.
 
-When every L_i has a rational spectrum (its eigenvalues are those of A_i)
-everything is exact rational arithmetic. Otherwise the symmetrized
-matrices D^{1/2} L_i D^{-1/2}, D = diag(k_i), are split in double
-precision: the eigenvalue tolerance groups their eigenvalues and applies
-nowhere else, and the result is flagged accordingly. Rows of P are ordered
-by decreasing eigenvalue tuple; since |P_ji| <= k_i this puts the trivial
-character (P_0 = the valencies, W_0 = the constants) first.
+There is one route to P: the symmetrized D^{1/2} L_i D^{-1/2}, D = diag(k_i),
+are split relation by relation in double precision. For exact mode each
+entry is rounded; one farther than 1e-8 v from every integer shows an
+irrational eigenvalue. Integer rows become P only if the exact character
+identity holds, as d+1 distinct characters are all of them (Bannai-Ito,
+II.3), so a wrong rounding fails there and never gives a wrong exact
+verdict. In float mode the eigenvalue tolerance groups the split and
+applies nowhere else. Rows of P are ordered by decreasing eigenvalue
+tuple; since |P_ji| <= k_i this puts the trivial character first.
 """
 from __future__ import annotations
 
@@ -32,8 +34,7 @@ import numpy as np
 from .errors import (InputError, InternalConsistencyError,
                      IrrationalSpectrumError)
 from .floatlin import symmetric_eigen
-from .poly import char_poly, integer_roots
-from .ratmat import RationalMatrix, inner_product, inverse, nullspace, rref
+from .ratmat import RationalMatrix, inner_product, inverse, rref
 from .scheme import AssociationScheme
 
 DEFAULT_EIGEN_TOL = 1e-9
@@ -81,74 +82,46 @@ class SpectralData:
         return tuple(out)
 
 
-def _left_eigen_split(basis: RationalMatrix, a: RationalMatrix,
-                      eigenvalues) -> list[tuple[int, RationalMatrix]]:
-    """Split a basis of an a-invariant subspace by the eigenvalues of a.
-
-    Works on row vectors: returns (eigenvalue, rows spanning the matching
-    slice) for every eigenvalue that actually occurs.
-    """
-    n = a.nrows
-    shifted = {lam: basis @ (a - lam * RationalMatrix.identity(n))
-               for lam in eigenvalues}
-    pieces = []
-    total = 0
-    for lam in eigenvalues:
-        kernel = nullspace(shifted[lam].transpose())
-        if not kernel:
-            continue
-        coords = RationalMatrix(kernel)
-        pieces.append((lam, coords @ basis))
-        total += coords.nrows
-    if total != basis.nrows:
-        raise InternalConsistencyError(
-            "eigen refinement lost dimensions; subspace was not invariant")
-    return pieces
-
-
 def _eigenmatrix_rows(s: AssociationScheme, eigen_tol: float | None):
-    """Rows of P, refined relation by relation over the L_i; or None.
+    """Rows of P from the float split of the L_i; or None.
 
     Row j of P is a common left eigenvector of the L_i, (L_i)_kj = p^k_ij,
-    with eigenvalue P_ji. Exact when ``eigen_tol`` is None: eigenvalues of
-    a 0/1 matrix are algebraic integers, so a rational one is an integer
-    root of char(L_i) with |P_ji| <= k_i, and None means some L_i has an
-    irrational one. Otherwise the symmetric D^{1/2} L_i D^{-1/2} are split
-    in double precision, grouping eigenvalues within ``eigen_tol``.
+    with eigenvalue P_ji. The symmetric D^{1/2} L_i D^{-1/2} are split in
+    double precision, grouping eigenvalues within ``eigen_tol``. When it is
+    None the split runs at DEFAULT_EIGEN_TOL and is rounded to integer
+    candidates for exact mode, or None when an entry lies farther than
+    1e-8 v from every integer (an irrational eigenvalue).
     """
-    r = range(s.d + 1)
-    ls = [RationalMatrix([[s.intersection[i][j][k] for j in r] for k in r])
-          for i in r]
-    if eigen_tol is None:
-        spaces = [((), RationalMatrix.identity(s.d + 1))]
-    else:
-        spaces = [((), np.eye(s.d + 1))]  # orthonormal column bases
-        root_k = np.sqrt(np.array(s.valencies, dtype=float))
-    for i in r[1:]:
+    exact = eigen_tol is None
+    tol = DEFAULT_EIGEN_TOL if exact else eigen_tol
+    root_k = np.sqrt(np.array(s.valencies, dtype=float))
+    spaces = [((), np.eye(s.d + 1))]  # orthonormal column bases
+    for i in range(1, s.d + 1):
+        # C order fixes BLAS's summation order and so the last float bits
+        l_i = np.array(s.intersection[i], dtype=float).T.copy()
+        sym = root_k[:, None] * l_i / root_k
         refined = []
-        if eigen_tol is None:
-            roots, rest = integer_roots(char_poly(ls[i]), bound=s.valencies[i])
-            if rest.degree > 0:
-                return None
-            eigenvalues = sorted(roots, reverse=True)
-            for tags, basis in spaces:
-                refined += [(tags + (lam,), sub) for lam, sub
-                            in _left_eigen_split(basis, ls[i], eigenvalues)]
-        else:
-            sym = root_k[:, None] * np.array(ls[i].rows, dtype=float) / root_k
-            for tags, basis in spaces:
-                restricted = basis.T @ sym @ basis
-                restricted = (restricted + restricted.T) / 2.0
-                refined += [(tags + (lam,), basis @ cols) for lam, cols
-                            in symmetric_eigen(restricted, tol=eigen_tol)]
+        for tags, basis in spaces:
+            restricted = basis.T @ sym @ basis
+            restricted = (restricted + restricted.T) / 2.0
+            refined += [(tags + (lam,), basis @ cols) for lam, cols
+                        in symmetric_eigen(restricted, tol=tol)]
         spaces = refined
     if len(spaces) != s.d + 1:
         raise InternalConsistencyError(
             f"eigenspace refinement produced {len(spaces)} spaces, "
             f"expected {s.d + 1}; input may not be a commutative scheme "
             "or the tolerance merged distinct eigenvalues")
-    rows = [[1, *tags] for tags, _ in sorted(spaces, key=lambda sp: sp[0],
-                                             reverse=True)]
+    tags = [t for t, _ in spaces]
+    if exact:
+        split = np.array(tags, dtype=float).reshape(s.d + 1, s.d)
+        rounded = np.rint(split)
+        if (np.abs(split - rounded) > _FLOAT_CHECK_TOL * s.v).any():
+            return None
+        tags = [tuple(int(x) for x in row) for row in rounded]
+        if len(set(tags)) != s.d + 1:  # characters proved below must differ
+            raise InternalConsistencyError("rounding merged two rows of P")
+    rows = [[1, *t] for t in sorted(tags, reverse=True)]
     rows[0] = list(s.valencies)
     return rows
 
@@ -176,19 +149,26 @@ def _check_characters(s: AssociationScheme, rows: list[list],
     """P_ja P_jb = sum_c p^c_ab P_jc for every row j of P and all a, b.
 
     Row j is then a left eigenvector of every L_a with eigenvalue P_ja, i.e.
-    A_a -> P_ja is a character of the Bose-Mesner algebra.
+    A_a -> P_ja is a character of the Bose-Mesner algebra. Exact mode uses
+    int64: every term and sum is at most k_a k_b <= v^2. The witness is the
+    first (j, a, b) in lexicographic order.
     """
-    r = range(s.d + 1)
+    p = np.array(rows, dtype=np.int64 if exact else float)
     tol = _FLOAT_CHECK_TOL * s.v
-    for j, row in enumerate(rows):
-        for a in r:
-            for b in r:
-                gap = row[a] * row[b] - sum(s.intersection[a][b][c] * row[c]
-                                            for c in r)
-                if (gap != 0) if exact else (abs(gap) > tol):
-                    raise InternalConsistencyError(
-                        f"row {j} of P is not a character: P_ja P_jb != "
-                        f"sum_c p^c_ab P_jc at a={a}, b={b}")
+    first = None
+    for a in range(s.d + 1):
+        m_a = np.array(s.intersection[a], dtype=p.dtype)  # (m_a)_bc = p^c_ab
+        gap = p[:, a, None] * p - p @ m_a.T  # gap[j, b]
+        bad = (gap != 0) if exact else (np.abs(gap) > tol)
+        if bad.any():
+            j, b = divmod(int(np.argmax(bad)), s.d + 1)
+            if first is None or (j, a, b) < first:
+                first = (j, a, b)
+    if first is not None:
+        j, a, b = first
+        raise InternalConsistencyError(
+            f"row {j} of P is not a character: P_ja P_jb != "
+            f"sum_c p^c_ab P_jc at a={a}, b={b}")
 
 
 def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None:
@@ -196,12 +176,15 @@ def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None
 
     None signals that some relation has an irrational eigenvalue, i.e. the
     characteristic polynomial of its intersection matrix does not split
-    over the rationals, so exact mode is unavailable. Multiplicities are
-    those on the vertex space: eigenvalue P_ji counts m_j times.
+    over the rationals, so exact mode is unavailable. Integer rows from the
+    rounded float split are proved by the exact character check first.
+    Multiplicities are those on the vertex space: eigenvalue P_ji counts
+    m_j times.
     """
     rows = _eigenmatrix_rows(s, None)
     if rows is None:
         return None
+    _check_characters(s, rows, exact=True)
     mult = _multiplicities(s, rows, exact=True)
     out = []
     for i in range(1, s.d + 1):

@@ -331,6 +331,18 @@ class TestSearch:
                                "--sizes", "x..y")
         assert code == 2
 
+    def test_dedup_warns_on_stderr_only(self, capsys):
+        base = ("search", "--family", "petersen", "--relation", "1",
+                "--sizes", "4")
+        code, out, err = run_cli(capsys, *base)
+        assert code == 0 and err == ""
+        assert "completely regular found: 20" in out
+        code, out, err = run_cli(capsys, *base, "--dedup")
+        # one signature class mixes regular and other codes: 19 are missed
+        assert code == 0 and "completely regular found: 1\n" in out
+        assert err.count("\n") == 1
+        assert "--dedup" in err and "signature class can mix" in err
+
     def test_disconnected_relation_graph(self, capsys):
         # distance-2 in the 4-cycle scheme is a perfect matching
         code, _, err = run_cli(capsys, "search", "--family", "cycle,4",

@@ -297,7 +297,43 @@ class TestProjectOntoAlgebra:
         assert np.abs(sl.project_onto_algebra(a1, cycle5, spec) - a1).max() < 1e-8
 
 
+def first_non_character(s, rows, tol):
+    """The first (j, a, b) of the (j, a, b) scan breaking the identity."""
+    r = range(s.d + 1)
+    for j, row in enumerate(rows):
+        for a in r:
+            for b in r:
+                gap = row[a] * row[b] - sum(s.intersection[a][b][c] * row[c]
+                                            for c in r)
+                if abs(gap) > tol:
+                    return j, a, b
+    return None
+
+
 class TestCharacterCheck:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_witness_is_first_of_loop_scan(self, exact_catalog, exact):
+        from schemelab import spectra
+        rng = np.random.default_rng(5)
+        for s in exact_catalog + [sl.named_scheme("hamming", 4, 3)]:
+            p = [list(r) for r in sl.spectral_data(s).p_matrix.rows]
+            for _ in range(20):
+                rows = [[int(x) if exact else float(x) for x in r] for r in p]
+                for _ in range(rng.integers(1, 3)):
+                    j, i = rng.integers(0, s.d + 1, size=2)
+                    rows[j][i] += 1 if exact else 1e-3
+                tol = 0 if exact else 1e-8 * s.v
+                expected = first_non_character(s, rows, tol)
+                if expected is None:
+                    spectra._check_characters(s, rows, exact)
+                    continue
+                j, a, b = expected
+                with pytest.raises(sl.InternalConsistencyError) as info:
+                    spectra._check_characters(s, rows, exact)
+                assert str(info.value) == (
+                    f"row {j} of P is not a character: P_ja P_jb != "
+                    f"sum_c p^c_ab P_jc at a={a}, b={b}")
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_swapped_eigenvalues_raise(self, hamming32, monkeypatch, mode):
         from schemelab import spectra
@@ -313,3 +349,113 @@ class TestCharacterCheck:
         monkeypatch.setattr(spectra, "_eigenmatrix_rows", swapped)
         with pytest.raises(sl.InternalConsistencyError, match="not a character"):
             sl.spectral_data(hamming32, mode=mode)
+
+
+def _left_eigen_split(basis, a, eigenvalues):
+    """Split a basis of an a-invariant row space by the eigenvalues of a."""
+    from schemelab.ratmat import nullspace
+    pieces = []
+    for lam in eigenvalues:
+        shifted = basis @ (a - lam * RationalMatrix.identity(a.nrows))
+        kernel = nullspace(shifted.transpose())
+        if kernel:
+            coords = RationalMatrix(kernel)
+            pieces.append((lam, coords @ basis))
+    assert sum(sub.nrows for _, sub in pieces) == basis.nrows
+    return pieces
+
+
+def reference_rows(s):
+    """Exact P by refining Q^{d+1} over the integer roots of each char(L_i),
+    or None when some char(L_i) does not split over Q."""
+    from schemelab.poly import char_poly, integer_roots
+    r = range(s.d + 1)
+    spaces = [((), RationalMatrix.identity(s.d + 1))]
+    for i in r[1:]:
+        l_i = RationalMatrix([[s.intersection[i][j][k] for j in r] for k in r])
+        roots, rest = integer_roots(char_poly(l_i), bound=s.valencies[i])
+        if rest.degree > 0:
+            return None
+        eigenvalues = sorted(roots, reverse=True)
+        spaces = [(tags + (lam,), sub) for tags, basis in spaces
+                  for lam, sub in _left_eigen_split(basis, l_i, eigenvalues)]
+    rows = [[1, *tags] for tags, _ in sorted(spaces, key=lambda sp: sp[0],
+                                             reverse=True)]
+    rows[0] = list(s.valencies)
+    return rows
+
+
+class TestRoundedRoute:
+    """Exact P comes from the rounded float split, proved by the character
+    check; the exact refinement over char(L_i) is the reference."""
+
+    @pytest.fixture(scope="class")
+    def exact_schemes(self, exact_catalog, tmp_path_factory):
+        from schemelab.fileio import read_relation_file
+        from test_fileio import write_relation_file
+        k3 = sl.named_scheme("hamming", 1, 3)
+        path = tmp_path_factory.mktemp("rel") / "k3xk3.rel"
+        write_relation_file(path, product_scheme(k3, k3))
+        labels, mats = read_relation_file(path)
+        from_file = sl.verify_axioms(mats, labels).scheme
+        return exact_catalog + [sl.named_scheme("hamming", 4, 3),
+                                sl.named_scheme("johnson", 8, 3),
+                                sl.named_scheme("cycle", 4),
+                                sl.named_scheme("cycle", 6), from_file]
+
+    def test_p_matches_reference(self, exact_schemes):
+        for s in exact_schemes:
+            expected = reference_rows(s)
+            assert expected is not None
+            spec = sl.spectral_data(s)
+            assert spec.mode == "exact"
+            assert [list(r) for r in spec.p_matrix.rows] == expected
+
+    def test_auto_decision_matches_reference_on_cycles(self):
+        for n in range(3, 65):
+            s = sl.named_scheme("cycle", n)
+            exact = reference_rows(s) is not None
+            assert (sl.rational_spectrum_roots(s) is not None) == exact, n
+            assert sl.common_eigenspaces(s).mode == \
+                ("exact" if exact else "float"), n
+
+    @staticmethod
+    def _push_split(monkeypatch, delta):
+        """Move the smallest eigenvalue of the first split (relation 1 on
+        the whole space) by ``delta``."""
+        from schemelab import spectra
+        original = spectra.symmetric_eigen
+        calls = []
+
+        def pushed(matrix, tol):
+            groups = original(matrix, tol=tol)
+            calls.append(None)
+            if len(calls) == 1:
+                lam, cols = groups[-1]
+                groups[-1] = (lam + delta, cols)
+            return groups
+
+        monkeypatch.setattr(spectra, "symmetric_eigen", pushed)
+
+    def test_entry_far_from_integer_is_irrational(self, hamming32,
+                                                  monkeypatch):
+        from schemelab import spectra
+        self._push_split(monkeypatch, 1e-3)
+        assert spectra._eigenmatrix_rows(hamming32, None) is None
+        self._push_split(monkeypatch, 1e-3)
+        assert sl.rational_spectrum_roots(hamming32) is None
+
+    def test_entry_near_integer_still_gives_exact_p(self, hamming32,
+                                                    monkeypatch):
+        self._push_split(monkeypatch, 1e-12)
+        spec = sl.spectral_data(hamming32)
+        assert spec.mode == "exact"
+        assert [list(r) for r in spec.p_matrix.rows] == \
+            reference_rows(hamming32)
+
+    def test_rounding_onto_another_row_raises(self, k4, monkeypatch):
+        # -1 pushed onto 3 would make the trivial character twice; both
+        # copies pass the character identity, so distinctness must be checked
+        self._push_split(monkeypatch, 4.0)
+        with pytest.raises(sl.InternalConsistencyError, match="merged"):
+            sl.rational_spectrum_roots(k4)

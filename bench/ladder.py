@@ -1,0 +1,151 @@
+"""Per-stage timing ladder for the partition layer.
+
+    python3 bench/ladder.py [--parent DIR] [--out FILE] [--stage-timeout S]
+
+Times one call each of ``partition_projector``, ``commutes_with_scheme``,
+``is_equitable`` and ``feasibility_report`` on the distance-1 partition of
+vertex 0 in every family of ``LADDER``. Each checkout is measured in its
+own child process: this one, and with ``--parent DIR`` also the checkout at
+DIR (for instance a parent commit, made with ``git clone``), through the
+same script, so both sides run identical timing code. The result is one
+JSON object, printed or written to ``--out``: per side the git SHA of the
+tree measured, and per family and stage the wall seconds and the reference
+seconds of ``perfbench/hostspeed.py`` (the wall time scaled by a fixed
+``Fraction`` kernel timed just before and after it, so that the host's own
+swings in speed cancel), plus the machine, Python and numpy.
+
+A stage still running after ``--stage-timeout`` seconds is stopped and
+recorded as ``{"timed_out_after_s": S}``. Building the scheme and its
+spectral data is not timed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LADDER = (("petersen",), ("hamming", 4, 2), ("johnson", 6, 3),
+          ("johnson", 11, 5), ("hamming", 9, 2))
+
+
+class StageTimeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise StageTimeout
+
+
+def _timed(call, timeout_s: float, hostspeed) -> tuple[dict, object]:
+    """Run ``call`` once under a wall-clock alarm; its times and result."""
+    before = hostspeed.probe()
+    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    start = time.perf_counter()
+    try:
+        out = call()
+    except StageTimeout:
+        return {"timed_out_after_s": timeout_s}, None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    wall = time.perf_counter() - start
+    after = hostspeed.probe()
+    return {"wall_s": round(wall, 6),
+            "ref_s": round(hostspeed.scale(wall, before, after), 6)}, out
+
+
+def measure(src: Path, timeout_s: float) -> dict:
+    """Every stage on every family, for the schemelab found in ``src``."""
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import hostspeed
+    import numpy as np
+    import schemelab as sl
+
+    signal.signal(signal.SIGALRM, _on_alarm)
+    families = {}
+    for family in LADDER:
+        s = sl.named_scheme(*family)
+        spec = sl.spectral_data(s)
+        part = sl.distance_partition(s, 1, [0])[0]
+        times, f = _timed(lambda: sl.partition_projector(part), timeout_s,
+                          hostspeed)
+        row = {"v": s.v, "d": s.d, "t": part.t,
+               "partition_projector": times}
+        if f is None:  # the projector timed out, so there is none to test
+            row["commutes_with_scheme"] = {"skipped": "no projector"}
+        else:
+            row["commutes_with_scheme"], _ = _timed(
+                lambda: sl.commutes_with_scheme(f, s), timeout_s, hostspeed)
+        row["is_equitable"], _ = _timed(lambda: sl.is_equitable(s, part),
+                                        timeout_s, hostspeed)
+        row["feasibility_report"], _ = _timed(
+            lambda: sl.feasibility_report(s, spec, part), timeout_s, hostspeed)
+        families[",".join(map(str, family))] = row
+    return {"numpy": np.__version__, "families": families}
+
+
+def git_sha(tree: Path) -> str:
+    sha = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                         capture_output=True, text=True, check=True).stdout
+    dirty = subprocess.run(["git", "-C", str(tree), "status", "--porcelain",
+                            "--untracked-files=no"],
+                           capture_output=True, text=True, check=True).stdout
+    return sha.strip() + ("+dirty" if dirty.strip() else "")
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def run_side(tree: Path, timeout_s: float) -> dict:
+    """Measure the checkout at ``tree`` in a child process."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src",
+         str(tree / "src"), "--stage-timeout", str(timeout_s)],
+        capture_output=True, text=True, check=True)
+    return {"git_sha": git_sha(tree), **json.loads(child.stdout)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="DIR", type=Path,
+                        help="also measure the checkout at DIR")
+    parser.add_argument("--out", metavar="FILE", help="write the JSON here")
+    parser.add_argument("--stage-timeout", type=float, default=120.0,
+                        metavar="S", help="stop a stage after S seconds")
+    parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.src is not None:  # child process: measure one source tree
+        print(json.dumps(measure(args.src, args.stage_timeout)))
+        return 0
+    result = {"machine": {"platform": platform.platform(),
+                          "cpu": cpu_model(), "cpus": os.cpu_count(),
+                          "python": platform.python_version()},
+              "stage_timeout_s": args.stage_timeout,
+              "change": run_side(ROOT, args.stage_timeout)}
+    if args.parent is not None:
+        result["parent"] = run_side(args.parent.resolve(), args.stage_timeout)
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

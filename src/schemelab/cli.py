@@ -299,6 +299,9 @@ def cmd_search(args, argv) -> tuple[Report, int]:
         print("note: --dedup tests one code per inner-relation signature, but "
               "a signature class can mix completely regular and other codes, "
               "so some may be missed", file=sys.stderr)
+    if args.workers is not None:
+        print("note: --workers is deprecated and has no effect; the search "
+              "runs in one thread", file=sys.stderr)
     report = Report(_echo(argv))
     s = _load_scheme(args, report)
     spec = None
@@ -309,7 +312,7 @@ def cmd_search(args, argv) -> tuple[Report, int]:
     result = codes.search_completely_regular(
         s, args.relation, sizes, budget=args.budget,
         dedup_by_signature=args.dedup, spec=spec,
-        include_feasibility=args.feasibility, workers=args.workers)
+        include_feasibility=args.feasibility)
     report.add("relation", args.relation)
     report.add("sizes", f"{sizes[0]}..{sizes[1]}")
     report.add("tested", result.tested)
@@ -418,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "regular and other codes")
     p.add_argument("--feasibility", action="store_true",
                    help="attach feasibility data to each record")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--workers", type=int,
+                   help="deprecated; accepted for compatibility, has no effect")
     p.add_argument("--out", metavar="FILE", help="write JSON records here")
     p.set_defaults(handler=cmd_search)
     return parser

@@ -8,6 +8,7 @@ test; feasibility data can be attached for reporting but never replaces it.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -78,10 +79,13 @@ def search_completely_regular(s: AssociationScheme, i: int,
     class can hold both completely regular and other codes (on Petersen,
     size 4, it reports 1 of the 20). ``budget`` caps how many candidates are
     tested; when it is hit the result is marked non-exhaustive. Each
-    candidate is classified as it is enumerated. ``workers`` is accepted
-    for compatibility and has no effect: the work is pure Python, which
-    threads cannot overlap.
+    candidate is classified as it is enumerated. ``workers`` is deprecated
+    and has no effect (the work is pure Python, which threads cannot
+    overlap); any value other than 1 raises a DeprecationWarning.
     """
+    if workers != 1:
+        warnings.warn("search_completely_regular: workers is deprecated and "
+                      "has no effect", DeprecationWarning, stacklevel=2)
     lo, hi = sizes
     if not (1 <= lo <= hi <= s.v):
         raise InputError(f"size range {lo}..{hi} must sit inside 1..{s.v}")

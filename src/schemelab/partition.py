@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InputError, InternalConsistencyError
 from .ratmat import RationalMatrix, column_space_projector
 from .scheme import AssociationScheme
@@ -206,17 +208,67 @@ def partition_projector(part: Partition) -> RationalMatrix:
     return f
 
 
+def _projector_cells(f: RationalMatrix) -> list[int]:
+    """Cell index of every vertex, read off a partition projector F.
+
+    The support of row x is the cell C(x); every row must equal its cell's
+    template row exactly (1/|C| on C, 0 elsewhere), else InputError.
+    """
+    v = f.nrows
+    cell_of = [-1] * v
+    templates: list[tuple[Fraction, ...]] = []
+    zero = Fraction(0)
+    for x, row in enumerate(f.rows):
+        if cell_of[x] < 0:
+            cell = {y for y, entry in enumerate(row) if entry}
+            if x not in cell or any(cell_of[y] >= 0 for y in cell):
+                raise InputError("matrix is not the projector of a partition")
+            share = Fraction(1, len(cell))
+            for y in cell:
+                cell_of[y] = len(templates)
+            templates.append(tuple(share if y in cell else zero
+                                   for y in range(v)))
+        if row != templates[cell_of[x]]:
+            raise InputError("matrix is not the projector of a partition")
+    return cell_of
+
+
 def commutes_with_scheme(f: RationalMatrix, s: AssociationScheme
                          ) -> tuple[bool, Fraction]:
-    """Exact commutation test of f against every relation matrix.
+    """Exact commutation test of a partition projector F against every A_i.
 
-    Returns (commutes, largest absolute entry of any commutator).
+    Returns (commutes, largest absolute entry of any commutator FA_i - A_iF).
+    F must be the block projector of a partition (entry 1/|C| when x and y
+    share the cell C, else 0), as ``partition_projector`` returns; any other
+    matrix raises InputError. The commutator is read off the relation table
+    without forming a v x v product: with n_i(x, C) the number of y in C
+    with (x, y) in R_i, (FA_i)[x][y] = n_i(y, C(x))/|C(x)|, so its entry is
+
+        (n_i(y, C(x))|C(y)| - n_i(x, C(y))|C(x)|) / (|C(x)||C(y)|).
+
+    Each n_i comes from one ``np.bincount`` over the pairs of R_i, one
+    relation at a time, so the extra memory is O(v^2). Every numerator is at
+    most v^2 in absolute value, so int64 holds it exactly; the largest ratio
+    is located in float64, which cannot confuse two distinct ratios (they
+    differ by at least 1/v^4), and returned as an exact Fraction.
     """
     if f.shape != (s.v, s.v):
         raise InputError(f"projector shape {f.shape} does not match v={s.v}")
+    cell_of = np.array(_projector_cells(f))
+    t = int(cell_of.max()) + 1
+    size_of = np.bincount(cell_of)[cell_of]  # |C(x)|
+    den = np.outer(size_of, size_of)
+    table = np.array(s.relation_of, dtype=np.int64).ravel()
+    key = (np.arange(s.v)[:, None] * t + cell_of).ravel()  # x*t + c(y)
     worst = Fraction(0)
-    for a in s.relations:
-        worst = max(worst, (f @ a - a @ f).max_abs())
+    for i in range(s.d + 1):
+        counts = np.bincount(key[table == i], minlength=s.v * t)
+        n_i = counts.reshape(s.v, t)  # n_i[x, k] = n_i(x, C_k)
+        m = n_i.T[cell_of] * size_of  # m[x, y] = n_i(y, C(x))|C(y)|
+        num = np.abs(m - m.T)
+        if num.any():
+            k = int(np.argmax(num / den))
+            worst = max(worst, Fraction(int(num.flat[k]), int(den.flat[k])))
     return worst == 0, worst
 
 

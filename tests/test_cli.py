@@ -343,6 +343,20 @@ class TestSearch:
         assert err.count("\n") == 1
         assert "--dedup" in err and "signature class can mix" in err
 
+    def test_workers_deprecation_note_on_stderr_only(self, capsys):
+        base = ("search", "--family", "petersen", "--sizes", "1..2")
+        code, out, err = run_cli(capsys, *base)
+        assert code == 0 and err == ""
+        for workers in ("1", "4"):
+            got_code, got_out, got_err = run_cli(capsys, *base,
+                                                 "--workers", workers)
+            assert got_code == code
+            assert got_out == out.replace(
+                "command: " + " ".join(base),
+                "command: " + " ".join(base + ("--workers", workers)))
+            assert got_err.count("\n") == 1
+            assert "--workers is deprecated" in got_err
+
     def test_disconnected_relation_graph(self, capsys):
         # distance-2 in the 4-cycle scheme is a perfect matching
         code, _, err = run_cli(capsys, "search", "--family", "cycle,4",

@@ -99,6 +99,12 @@ class TestSearch:
         assert [r.completely_regular for r in serial.records] == \
             [r.completely_regular for r in threaded.records]
 
+    def test_workers_is_deprecated(self, petersen, recwarn):
+        sl.search_completely_regular(petersen, 1, (1, 1), workers=1)
+        assert not recwarn.list
+        with pytest.warns(DeprecationWarning, match="workers"):
+            sl.search_completely_regular(petersen, 1, (1, 1), workers=2)
+
     def test_signature_dedup(self, petersen):
         result = sl.search_completely_regular(petersen, 1, (1, 1),
                                               dedup_by_signature=True)

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schemelab as sl
+from schemelab import fileio
 from schemelab.poly import char_poly, integer_roots
 from schemelab.ratmat import RationalMatrix
+from conftest import PAIR_CELLS
+from test_fileio import write_relation_file
+from test_spectra import product_scheme
 
 
 def direct_quotient_oracle(scheme, cells_idx, rel):
@@ -19,6 +24,25 @@ def direct_quotient_oracle(scheme, cells_idx, rel):
                 return None
         rows.append(counts)
     return rows
+
+
+def reference_commutes(f, s):
+    """The dense route: every commutator FA_i - A_iF as v x v Fraction matmuls."""
+    worst = Fraction(0)
+    for a in s.relations:
+        worst = max(worst, (f @ a - a @ f).max_abs())
+    return worst == 0, worst
+
+
+def partition_from_assignment(s, assignment):
+    cells = (tuple(x for x in range(s.v) if assignment[x] == k)
+             for k in range(max(assignment) + 1))
+    return sl.Partition(s.labels, tuple(c for c in cells if c))
+
+
+def random_partition(s, rng):
+    t = rng.randint(1, 5)
+    return partition_from_assignment(s, [rng.randrange(t) for _ in range(s.v)])
 
 
 class TestMakePartition:
@@ -157,6 +181,60 @@ class TestCommutation:
         with pytest.raises(sl.InputError):
             sl.commutes_with_scheme(RationalMatrix.identity(3), petersen)
 
+    @pytest.mark.parametrize("family", [("petersen",), ("hamming", 3, 2),
+                                        ("hamming", 4, 2), ("johnson", 6, 3),
+                                        ("cycle", 9)])
+    def test_matches_dense_route(self, family):
+        s = sl.named_scheme(*family)
+        rng = random.Random(21)
+        parts = [sl.distance_partition(s, 1, [0])[0],
+                 *(random_partition(s, rng) for _ in range(6))]
+        for part in parts:
+            f = sl.partition_projector(part)
+            assert sl.commutes_with_scheme(f, s) == reference_commutes(f, s)
+
+    def test_matches_dense_route_on_relation_file(self, tmp_path):
+        # K3 x K3 has four relations that no distance ordering produces
+        k3 = sl.named_scheme("hamming", 1, 3)
+        path = tmp_path / "k3xk3.rel"
+        write_relation_file(path, product_scheme(k3, k3))
+        labels, mats = fileio.read_relation_file(path)
+        s = sl.verify_axioms(mats, labels).scheme
+        rng = random.Random(33)
+        equitable = sl.make_partition(s, [labels[:3], labels[3:]])
+        for part in [equitable, *(random_partition(s, rng) for _ in range(8))]:
+            f = sl.partition_projector(part)
+            got = sl.commutes_with_scheme(f, s)
+            assert got == reference_commutes(f, s)
+            assert got[0] == sl.is_equitable(s, part).equitable
+
+    def test_no_matmul_and_relations_unbuilt(self, monkeypatch):
+        s = sl.named_scheme("petersen")
+        f = sl.partition_projector(sl.distance_partition(s, 1, ["0"])[0])
+        g = sl.partition_projector(sl.make_partition(s, PAIR_CELLS))
+
+        def refuse(*args):
+            raise AssertionError("RationalMatrix matmul called")
+        monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+        assert sl.commutes_with_scheme(f, s) == (True, 0)
+        assert sl.commutes_with_scheme(g, s) == (False, Fraction(1, 2))
+        assert "relations" not in vars(s)
+
+    def test_non_projector_rejected(self, petersen, pair_partition):
+        f = sl.partition_projector(pair_partition)
+        off_block = [list(row) for row in f.rows]
+        off_block[0][1] = Fraction(1, 2)
+        in_block = [list(row) for row in f.rows]
+        in_block[0][0] = Fraction(1, 3)
+        # rows 0 and 1 are [1, 0] twice: idempotent but not symmetric
+        lopsided = [list(row) for row in RationalMatrix.identity(10).rows]
+        lopsided[1] = list(lopsided[0])
+        for bad in (RationalMatrix(off_block), RationalMatrix(in_block),
+                    2 * f, RationalMatrix(lopsided),
+                    RationalMatrix.zeros(10)):
+            with pytest.raises(sl.InputError, match="not the projector"):
+                sl.commutes_with_scheme(bad, petersen)
+
     def test_verdicts_agree_on_random_partitions(self, petersen, hamming32):
         rng = random.Random(99)
         for s in (petersen, hamming32):
@@ -171,6 +249,31 @@ class TestCommutation:
                 algebraic, _ = sl.commutes_with_scheme(
                     sl.partition_projector(part), s)
                 assert combinatorial == algebraic
+
+
+@pytest.fixture(scope="module")
+def property_schemes(petersen, hamming32, johnson42):
+    return [(s, sl.spectral_data(s)) for s in (petersen, hamming32, johnson42)]
+
+
+class TestCommutationProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_routes_agree(self, property_schemes, data):
+        s, spec = data.draw(st.sampled_from(property_schemes))
+        if data.draw(st.booleans()):
+            code = data.draw(st.sets(st.integers(0, s.v - 1), min_size=1,
+                                     max_size=3))
+            part = sl.distance_partition(s, 1, code)[0]
+        else:
+            assignment = data.draw(st.lists(st.integers(0, 4), min_size=s.v,
+                                            max_size=s.v))
+            part = partition_from_assignment(s, assignment)
+        f = sl.partition_projector(part)
+        got = sl.commutes_with_scheme(f, s)
+        assert got == reference_commutes(f, s)
+        assert got[0] == sl.is_equitable(s, part).equitable
+        assert sum(sl.godsil_condition(s, spec, part).values) == part.t
 
 
 class TestDistancePartition:

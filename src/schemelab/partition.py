@@ -3,7 +3,10 @@
 A partition is equitable when every vertex of a cell sees the same number
 of R_i-neighbours in every cell, for every relation; equivalently, when its
 projector commutes with every relation matrix. Both routes are implemented
-and kept independent so they can cross-check each other.
+and kept independent so they can cross-check each other. The commutation
+test takes the projector F itself, which must be the block projector of a
+partition, reads the cells off F's rows, and reads each commutator
+FA_i - A_iF off counts on the relation table; it forms no v x v product.
 """
 from __future__ import annotations
 

@@ -1,10 +1,14 @@
-"""Per-stage timing ladder for the partition layer.
+"""Per-stage timing ladder for the partition layer and the code search.
 
     python3 bench/ladder.py [--parent DIR] [--out FILE] [--stage-timeout S]
 
 Times one call each of ``partition_projector``, ``commutes_with_scheme``,
 ``is_equitable`` and ``feasibility_report`` on the distance-1 partition of
-vertex 0 in every family of ``LADDER``. Each checkout is measured in its
+vertex 0 in every family of ``LADDER``, then ``is_equitable`` on the
+partition ({0}, the rest), which is never equitable for d >= 2, so it
+times the witness path (``is_equitable_witness``), and
+``search_completely_regular`` on relation 1 over the first 64 singletons
+(``search_singletons_64``). Each checkout is measured in its
 own child process: this one, and with ``--parent DIR`` also the checkout at
 DIR (for instance a parent commit, made with ``git clone``), through the
 same script, so both sides run identical timing code. The result is one
@@ -87,6 +91,12 @@ def measure(src: Path, timeout_s: float) -> dict:
                                         timeout_s, hostspeed)
         row["feasibility_report"], _ = _timed(
             lambda: sl.feasibility_report(s, spec, part), timeout_s, hostspeed)
+        split = sl.Partition(s.labels, ((0,), tuple(range(1, s.v))))
+        row["is_equitable_witness"], _ = _timed(
+            lambda: sl.is_equitable(s, split), timeout_s, hostspeed)
+        row["search_singletons_64"], _ = _timed(
+            lambda: sl.search_completely_regular(s, 1, (1, 1), budget=64),
+            timeout_s, hostspeed)
         families[",".join(map(str, family))] = row
     return {"numpy": np.__version__, "families": families}
 

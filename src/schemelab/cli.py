@@ -411,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search completely regular codes")
     common(p)
     p.add_argument("--relation", type=int, default=1,
-                   help="relation index defining the graph (default 1)")
+                   help="relation i whose graph (V, R_i) gives the distance "
+                        "partition (default 1); CR means that partition is "
+                        "equitable for every A_j, which is the graph notion "
+                        "only when column i of P has d+1 distinct entries")
     p.add_argument("--sizes", required=True, help="code sizes: 'k' or 'a..b'")
     p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
                    help="maximum number of candidates to test")

@@ -1,9 +1,17 @@
 """Completely regular codes: direct testing and bounded brute-force search.
 
-A vertex subset is a completely regular code in the graph (V, R_i) when its
-distance partition is equitable. The search enumerates subsets in
-lexicographic order and always classifies each candidate by the direct
-test; feasibility data can be attached for reporting but never replaces it.
+A vertex subset C is reported completely regular for relation i when the
+distance partition of C in the graph (V, R_i) is equitable for the scheme,
+that is for every A_j, not for A_i alone. This is the graph notion (the
+partition is equitable for A_i; BCN 11.1) exactly when A_i generates the
+Bose-Mesner algebra, i.e. when column i of P has d+1 distinct entries, as
+for relation 1 of every distance scheme. Otherwise it is stricter: in
+J(7,3) every vertex is completely regular in the graph (V, R_2), yet no
+singleton is reported, since its cell of 16 mixes R_1 and R_3.
+
+The search enumerates subsets in lexicographic order and always classifies
+each candidate by the direct test; feasibility data can be attached for
+reporting but never replaces it.
 """
 from __future__ import annotations
 
@@ -36,7 +44,8 @@ class CodeRecord:
 def is_completely_regular(s: AssociationScheme, i: int, code,
                           spec: SpectralData | None = None,
                           include_feasibility: bool = False) -> CodeRecord:
-    """Test one code: build its distance partition and check equitability."""
+    """Test one code: its distance partition in (V, R_i), equitable for
+    every A_j (the scheme-level notion of the module docstring)."""
     part, rho = distance_partition(s, i, code)
     eq = is_equitable(s, part)
     feas = None
@@ -71,6 +80,10 @@ def search_completely_regular(s: AssociationScheme, i: int,
                               include_feasibility: bool = False,
                               workers: int = 1) -> SearchResult:
     """Classify all vertex subsets with sizes in [lo, hi], up to a budget.
+
+    A code is completely regular for relation i in the scheme-level sense of
+    the module docstring: its distance partition in (V, R_i) is equitable
+    for every A_j.
 
     Candidates are enumerated in lexicographic order (smaller sizes first)
     and every record comes from the direct distance-partition test. With

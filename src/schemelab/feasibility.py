@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (InputError, InternalConsistencyError,
                      NotAutomorphismError, NotEquitableError)
 from .floatlin import float_rank
-from .partition import EquitabilityResult, Partition, is_equitable
+from .partition import (EquitabilityResult, Partition, _pair_counts,
+                        is_equitable)
 from .poly import Polynomial, char_poly, poly_divides, poly_from_power_sums
 from .ratmat import RationalMatrix, rank
 from .scheme import AssociationScheme
@@ -123,34 +124,24 @@ def godsil_condition(s: AssociationScheme, spec: SpectralData, part: Partition,
                         int_tol=None if spec.exact else int_tol)
 
 
-def _cell_relation_counts(s: AssociationScheme, part: Partition) -> list:
-    """C_i = H^T A_i H: C_i[a][b] counts the pairs (x, y) in R_i with x in
-    cell a and y in cell b. One pass over ``relation_of``."""
-    cell = part.cell_of
-    counts = [[[0] * part.t for _ in range(part.t)] for _ in range(s.d + 1)]
-    for x, row in enumerate(s.relation_of):
-        line = [c[cell[x]] for c in counts]
-        for y, i in enumerate(row):
-            line[i][cell[y]] += 1
-    return counts
-
-
 def subduced_multiplicities(s: AssociationScheme, spec: SpectralData,
                             part: Partition) -> tuple[int, ...]:
     """dim(W_j H) for each eigenspace, as rank(H^T E_j H).
 
     H^T E_j H = (1/v) sum_i Q_ij C_i with C_i = H^T A_i H, a t x t matrix of
-    cell pair counts, and Q_ij = m_j P_ji / k_i; no matrix with v rows is
-    formed. In float mode the rank is taken of D^{-1/2} H^T E_j H D^{-1/2},
-    D = H^T H, which is E_j compressed to orthonormal cell vectors, so its
-    eigenvalues lie in [0, 1]: those at most 1e-8 count as zero.
+    cell pair counts (one bincount per relation over the cells of its
+    pairs), and Q_ij = m_j P_ji / k_i; no matrix with v rows is formed. In
+    float mode the rank is taken of D^{-1/2} H^T E_j H D^{-1/2}, D = H^T H,
+    which is E_j compressed to orthonormal cell vectors, so its eigenvalues
+    lie in [0, 1]: those at most 1e-8 count as zero.
 
     The images W_j H together span the whole t-dimensional cell space, so
     the dimensions sum to at least t; equality holds when the partition is
     equitable (the images then sit inside distinct quotient eigenspaces)
     but can fail otherwise.
     """
-    counts = _cell_relation_counts(s, part)
+    cell = np.array(part.cell_of)
+    counts = [c.tolist() for c in _pair_counts(s, cell, cell)]
     p, v, r = spec.p_matrix, s.v, range(s.d + 1)
     scale = 1.0 / np.sqrt(np.array(part.cell_sizes, dtype=float))
     out = []

@@ -2,11 +2,13 @@
 
 A partition is equitable when every vertex of a cell sees the same number
 of R_i-neighbours in every cell, for every relation; equivalently, when its
-projector commutes with every relation matrix. Both routes are implemented
-and kept independent so they can cross-check each other. The commutation
-test takes the projector F itself, which must be the block projector of a
-partition, reads the cells off F's rows, and reads each commutator
-FA_i - A_iF off counts on the relation table; it forms no v x v product.
+projector commutes with every relation matrix. Both tests, and the cell-pair
+counts C_i = H^T A_i H of ``feasibility``, share one count, ``_pair_counts``:
+a bincount per relation over ``AssociationScheme.relation_pairs``. The
+commutation test reads the cells off the projector F and each FA_i - A_iF
+off these counts, with no v x v product. Independent of that count stay
+the float64 product A_i H = H N_i that ``is_equitable`` asserts,
+``feasibility.trace_profile``'s own count, and the test oracles.
 """
 from __future__ import annotations
 
@@ -70,10 +72,6 @@ class Partition:
             for x in cell:
                 out[x] = k
         return tuple(out)
-
-    @cached_property
-    def cell_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(c) for c in self.cells)
 
     def characteristic_matrix(self) -> RationalMatrix:
         """v x t 0/1 matrix H whose columns are the cell indicators."""
@@ -152,48 +150,56 @@ class EquitabilityResult:
     witness: EquitabilityWitness | None = None
 
 
-def _count_profile(s: AssociationScheme, part: Partition, i: int, x: int
-                   ) -> tuple[int, ...]:
-    neigh = s.relation_neighbors[i][x]
-    return tuple(len(neigh & cell) for cell in part.cell_sets)
+def _pair_counts(s: AssociationScheme, rows: np.ndarray, cols: np.ndarray):
+    """Per relation i = 0..d in turn, the int64 array counting the pairs
+    (x, y) of R_i by (rows[x], cols[y]): n_i(x, C) for rows the identity and
+    cols the cells, C_i = H^T A_i H for both the cells. One ``np.bincount``
+    over ``s.relation_pairs`` each; the extra memory is one such array."""
+    shape = (int(rows.max()) + 1, int(cols.max()) + 1)
+    for xs, ys in s.relation_pairs:
+        key = rows[xs] * shape[1] + cols[ys]
+        yield np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def is_equitable(s: AssociationScheme, part: Partition) -> EquitabilityResult:
     """Combinatorial equitability test with quotient matrices or a witness.
 
-    On success the quotients N_i satisfy A_i H = H N_i, which is asserted
-    before returning: (A_i H)[x][b], the number of y in cell b with (x, y)
-    in R_i, is counted in one pass over ``relation_of``, apart from the
-    neighbour sets the count test reads.
+    Reads the counts n_i(x, C) off ``_pair_counts``, one relation at a time.
+    The witness is the first (relation, cell, vertex) in that order whose
+    profile differs from that of the cell's first vertex. On success the
+    quotients N_i satisfy A_i H = H N_i, which is asserted before returning
+    as a float64 product of the 0/1 indicator of R_i with H, independent of
+    the bincount; every entry counts at most v < 2^53 vertices, so the
+    product is exact.
     """
     if part.labels != s.labels:
         raise InputError("partition is over a different vertex set")
+    cell = np.array(part.cell_of)
+    first = np.array([c[0] for c in part.cells])
     quotients = []
-    for i in range(s.d + 1):
-        rows = []
-        for k, cell in enumerate(part.cells):
-            ref = _count_profile(s, part, i, cell[0])
-            for x in cell[1:]:
-                profile = _count_profile(s, part, i, x)
-                if profile != ref:
-                    diffs = tuple(j for j in range(part.t)
-                                  if profile[j] != ref[j])
-                    return EquitabilityResult(False, witness=EquitabilityWitness(
-                        relation=i, cell=k, vertex_ref=cell[0], vertex=x,
-                        target_cells=diffs, counts_ref=ref, counts=profile))
-            rows.append(ref)
-        quotients.append(RationalMatrix(rows))
-    cell = part.cell_of
-    for x, row in enumerate(s.relation_of):
-        counts = [[0] * part.t for _ in range(s.d + 1)]
-        for y, i in enumerate(row):
-            counts[i][cell[y]] += 1
-        for i, n_i in enumerate(quotients):
-            if tuple(counts[i]) != n_i[cell[x]]:
-                raise InternalConsistencyError(
-                    f"quotient identity A_{i} H = H N_{i} failed after "
-                    "a positive count test")
-    return EquitabilityResult(True, quotients=tuple(quotients))
+    for i, n_i in enumerate(_pair_counts(s, np.arange(s.v), cell)):
+        ref = n_i[first]  # row k: the profile of cell k's first vertex
+        bad = (n_i != ref[cell]).any(axis=1)
+        if bad.any():
+            k = int(cell[bad].min())
+            x = int(np.argmax(bad & (cell == k)))
+            diffs = np.flatnonzero(n_i[x] != ref[k])
+            return EquitabilityResult(False, witness=EquitabilityWitness(
+                relation=i, cell=k, vertex_ref=part.cells[k][0], vertex=x,
+                target_cells=tuple(diffs.tolist()),
+                counts_ref=tuple(ref[k].tolist()),
+                counts=tuple(n_i[x].tolist())))
+        quotients.append(ref)
+    h = np.eye(part.t)[cell]
+    for i, ((xs, ys), n_i) in enumerate(zip(s.relation_pairs, quotients)):
+        a_i = np.zeros((s.v, s.v))
+        a_i[xs, ys] = 1.0
+        if not np.array_equal(a_i @ h, h @ n_i):
+            raise InternalConsistencyError(
+                f"quotient identity A_{i} H = H N_{i} failed after "
+                "a positive count test")
+    return EquitabilityResult(True, quotients=tuple(
+        RationalMatrix(n_i.tolist()) for n_i in quotients))
 
 
 def partition_projector(part: Partition) -> RationalMatrix:
@@ -249,24 +255,19 @@ def commutes_with_scheme(f: RationalMatrix, s: AssociationScheme
 
         (n_i(y, C(x))|C(y)| - n_i(x, C(y))|C(x)|) / (|C(x)||C(y)|).
 
-    Each n_i comes from one ``np.bincount`` over the pairs of R_i, one
-    relation at a time, so the extra memory is O(v^2). Every numerator is at
-    most v^2 in absolute value, so int64 holds it exactly; the largest ratio
-    is located in float64, which cannot confuse two distinct ratios (they
-    differ by at least 1/v^4), and returned as an exact Fraction.
+    Each n_i comes from ``_pair_counts``, one relation at a time. Every
+    numerator is at most v^2 in absolute value, so int64 holds it exactly;
+    the largest ratio is located in float64, which cannot confuse two
+    distinct ratios (they differ by at least 1/v^4), and returned as an
+    exact Fraction.
     """
     if f.shape != (s.v, s.v):
         raise InputError(f"projector shape {f.shape} does not match v={s.v}")
     cell_of = np.array(_projector_cells(f))
-    t = int(cell_of.max()) + 1
     size_of = np.bincount(cell_of)[cell_of]  # |C(x)|
     den = np.outer(size_of, size_of)
-    table = np.array(s.relation_of, dtype=np.int64).ravel()
-    key = (np.arange(s.v)[:, None] * t + cell_of).ravel()  # x*t + c(y)
     worst = Fraction(0)
-    for i in range(s.d + 1):
-        counts = np.bincount(key[table == i], minlength=s.v * t)
-        n_i = counts.reshape(s.v, t)  # n_i[x, k] = n_i(x, C_k)
+    for n_i in _pair_counts(s, np.arange(s.v), cell_of):
         m = n_i.T[cell_of] * size_of  # m[x, y] = n_i(y, C(x))|C(y)|
         num = np.abs(m - m.T)
         if num.any():

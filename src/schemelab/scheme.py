@@ -98,9 +98,11 @@ class AssociationScheme:
 
     The relations are stored once, as the table ``relation_of[x][y]`` = the
     unique i with (x, y) in R_i; the 0/1 matrices A_i are built from it when
-    ``relations`` is first read. Immutable after construction; always built
-    through ``verify_axioms`` or one of the graph constructors, so the
-    stored intersection numbers and valencies are trustworthy.
+    ``relations`` is first read, and the pairs of each R_i as integer
+    arrays, which the partition counts read, when ``relation_pairs`` is.
+    Immutable after construction; always built through ``verify_axioms`` or
+    one of the graph constructors, so the stored intersection numbers and
+    valencies are trustworthy.
     """
 
     labels: tuple[str, ...]
@@ -139,6 +141,19 @@ class AssociationScheme:
         return tuple(tuple(frozenset(y for y, r in enumerate(row) if r == i)
                            for row in self.relation_of)
                      for i in range(self.d + 1))
+
+    @cached_property
+    def relation_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """relation_pairs[i] = (xs, ys), the pairs (x, y) of R_i in row-major
+        order of the table, as read-only integer arrays."""
+        table = np.array(self.relation_of, dtype=np.intp)
+        out = []
+        for i in range(self.d + 1):
+            pair = np.nonzero(table == i)
+            for a in pair:
+                a.flags.writeable = False
+            out.append(pair)
+        return tuple(out)
 
     def p(self, i: int, j: int, k: int) -> int:
         return self.intersection[i][j][k]

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import schemelab as sl
+from schemelab.cli import main
 from schemelab.ratmat import RationalMatrix
 
 
@@ -151,3 +152,41 @@ class TestSearch:
                 rec.vertices
         found = sum(r.completely_regular for r in result.records)
         assert found == 16  # 12 edges plus 4 antipodal pairs
+
+
+class TestSchemeLevelDefinition:
+    def test_johnson73_relation2(self, capsys):
+        # (V, R_2) of J(7,3) is srg(35,18,9,9), so every singleton is
+        # completely regular in that graph. The verdict counts equitability
+        # against every A_j, and A_2 does not generate the Bose-Mesner
+        # algebra (column 2 of P has fewer than d + 1 distinct entries), so
+        # the CLI reports no singleton as completely regular.
+        code = main(["search", "--family", "johnson,7,3", "--relation", "2",
+                     "--sizes", "1..1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "tested: 35\n" in out
+        assert "completely regular found: 0\n" in out
+        s = sl.named_scheme("johnson", 7, 3)
+        p = sl.spectral_data(s).p_matrix
+        assert len({row[1] for row in p}) == s.d + 1
+        assert len({row[2] for row in p}) < s.d + 1
+        rel = s.relation_of
+        for x in range(s.v):
+            # distance partition of {x} in (V, R_2), by a test-local BFS
+            dist = [-1] * s.v
+            dist[x] = 0
+            frontier = [x]
+            while frontier:
+                level = dist[frontier[0]] + 1
+                frontier = [z for z in range(s.v) if dist[z] < 0
+                            and any(rel[y][z] == 2 for y in frontier)]
+                for z in frontier:
+                    dist[z] = level
+            cells = [[y for y in range(s.v) if dist[y] == k]
+                     for k in range(max(dist) + 1)]
+            assert [len(c) for c in cells] == [1, 18, 16]
+            for cell in cells:
+                profiles = {tuple(sum(rel[y][z] == 2 for z in other)
+                                  for other in cells) for y in cell}
+                assert len(profiles) == 1, (x, cell)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import schemelab as sl
+import schemelab.partition as partition_module
 from schemelab import fileio
 from schemelab.poly import char_poly, integer_roots
 from schemelab.ratmat import RationalMatrix
@@ -24,6 +26,51 @@ def direct_quotient_oracle(scheme, cells_idx, rel):
                 return None
         rows.append(counts)
     return rows
+
+
+def reference_is_equitable(s, part):
+    """The frozenset scan and the A_iH pass over ``relation_of`` that the
+    bincount route replaced, with the same witness and quotients."""
+    cell_sets = [frozenset(c) for c in part.cells]
+
+    def profile(i, x):
+        return tuple(len(s.relation_neighbors[i][x] & c) for c in cell_sets)
+
+    quotients = []
+    for i in range(s.d + 1):
+        rows = []
+        for k, cell in enumerate(part.cells):
+            ref = profile(i, cell[0])
+            for x in cell[1:]:
+                counts = profile(i, x)
+                if counts != ref:
+                    witness = sl.EquitabilityWitness(
+                        relation=i, cell=k, vertex_ref=cell[0], vertex=x,
+                        target_cells=tuple(j for j in range(part.t)
+                                           if counts[j] != ref[j]),
+                        counts_ref=ref, counts=counts)
+                    return sl.EquitabilityResult(False, witness=witness)
+            rows.append(ref)
+        quotients.append(rows)
+    cell = part.cell_of
+    for x, row in enumerate(s.relation_of):
+        counts = [[0] * part.t for _ in range(s.d + 1)]
+        for y, i in enumerate(row):
+            counts[i][cell[y]] += 1
+        for i in range(s.d + 1):
+            assert tuple(counts[i]) == quotients[i][cell[x]]
+    return sl.EquitabilityResult(
+        True, quotients=tuple(RationalMatrix(n) for n in quotients))
+
+
+def reference_cell_pair_counts(s, part):
+    """C_i[a][b] = #{(x, y) in R_i : x in cell a, y in cell b}."""
+    cell = part.cell_of
+    out = [[[0] * part.t for _ in range(part.t)] for _ in range(s.d + 1)]
+    for x, row in enumerate(s.relation_of):
+        for y, i in enumerate(row):
+            out[i][cell[x]][cell[y]] += 1
+    return out
 
 
 def reference_commutes(f, s):
@@ -188,10 +235,15 @@ class TestCommutation:
         s = sl.named_scheme(*family)
         rng = random.Random(21)
         parts = [sl.distance_partition(s, 1, [0])[0],
+                 sl.distance_partition(s, 1, [0, s.v - 1])[0],
                  *(random_partition(s, rng) for _ in range(6))]
         for part in parts:
             f = sl.partition_projector(part)
             assert sl.commutes_with_scheme(f, s) == reference_commutes(f, s)
+            assert sl.is_equitable(s, part) == reference_is_equitable(s, part)
+            cell = np.array(part.cell_of)
+            assert [c.tolist() for c in partition_module._pair_counts(
+                s, cell, cell)] == reference_cell_pair_counts(s, part)
 
     def test_matches_dense_route_on_relation_file(self, tmp_path):
         # K3 x K3 has four relations that no distance ordering produces
@@ -206,7 +258,9 @@ class TestCommutation:
             f = sl.partition_projector(part)
             got = sl.commutes_with_scheme(f, s)
             assert got == reference_commutes(f, s)
-            assert got[0] == sl.is_equitable(s, part).equitable
+            eq = sl.is_equitable(s, part)
+            assert eq == reference_is_equitable(s, part)
+            assert got[0] == eq.equitable
 
     def test_no_matmul_and_relations_unbuilt(self, monkeypatch):
         s = sl.named_scheme("petersen")
@@ -272,7 +326,9 @@ class TestCommutationProperty:
         f = sl.partition_projector(part)
         got = sl.commutes_with_scheme(f, s)
         assert got == reference_commutes(f, s)
-        assert got[0] == sl.is_equitable(s, part).equitable
+        eq = sl.is_equitable(s, part)
+        assert eq == reference_is_equitable(s, part)
+        assert got[0] == eq.equitable
         assert sum(sl.godsil_condition(s, spec, part).values) == part.t
 
 
@@ -312,11 +368,12 @@ class TestDistancePartition:
 
 class TestQuotientIdentityCheck:
     def test_wrong_count_profile_is_caught(self, petersen, monkeypatch):
-        # a constant profile passes the count test on every partition; the
-        # A_i H = H N_i pass over the relation table must reject it
-        import schemelab.partition as partition_module
-        monkeypatch.setattr(partition_module, "_count_profile",
-                            lambda s, part, i, x: (1,) * part.t)
+        # a constant count passes the count test on every partition; the
+        # float64 product A_i H = H N_i must reject it
+        def constant(s, rows, cols):
+            shape = (rows.max() + 1, cols.max() + 1)
+            return (np.ones(shape, dtype=np.int64) for _ in range(s.d + 1))
+        monkeypatch.setattr(partition_module, "_pair_counts", constant)
         part, _ = sl.distance_partition(petersen, 1, ["0"])
         with pytest.raises(sl.InternalConsistencyError,
                            match="A_0 H = H N_0 failed"):

@@ -234,6 +234,13 @@ class TestSchemeStructure:
             petersen.relation_of[0][y] for y in range(10))
         assert counts == {0: 1, 1: 3, 2: 6}
 
+    def test_relation_pairs_index(self, petersen):
+        rel = petersen.relation_of
+        for i, (xs, ys) in enumerate(petersen.relation_pairs):
+            assert list(zip(xs.tolist(), ys.tolist())) == [
+                (x, y) for x in range(10) for y in range(10) if rel[x][y] == i]
+            assert not xs.flags.writeable and not ys.flags.writeable
+
 
 def matmul_axiom4(mats):
     """First axiom-4 failure as (axiom, detail, witness), or None.

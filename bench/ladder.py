@@ -1,14 +1,19 @@
-"""Per-stage timing ladder for the partition layer and the code search.
+"""Per-stage timing ladder for the spectra, partition and feasibility
+layers, relation-file input and the code search.
 
     python3 bench/ladder.py [--parent DIR] [--out FILE] [--stage-timeout S]
 
-Times one call each of ``partition_projector``, ``commutes_with_scheme``,
-``is_equitable`` and ``feasibility_report`` on the distance-1 partition of
-vertex 0 in every family of ``LADDER``, then ``is_equitable`` on the
-partition ({0}, the rest), which is never equitable for d >= 2, so it
-times the witness path (``is_equitable_witness``), and
-``search_completely_regular`` on relation 1 over the first 64 singletons
-(``search_singletons_64``). Each checkout is measured in its
+Times one call each, in every family of ``LADDER``, of ``spectral_data``;
+of ``partition_projector``, ``commutes_with_scheme``, ``is_equitable`` and
+``feasibility_report`` on the distance-1 partition of vertex 0; of
+``godsil_condition`` on the one-cell partition (``godsil_one_cell``); of
+``is_equitable`` on the partition ({0}, the rest), which is never
+equitable for d >= 2, so it times the witness path
+(``is_equitable_witness``); of ``search_completely_regular`` on relation 1
+over the first 64 singletons (``search_singletons_64``); and of
+``read_relation_file`` plus ``verify_axioms`` on the family's relation
+file, written untimed in the contiguous 0/1 form (``verify_relations``).
+Each checkout is measured in its
 own child process: this one, and with ``--parent DIR`` also the checkout at
 DIR (for instance a parent commit, made with ``git clone``), through the
 same script, so both sides run identical timing code. The result is one
@@ -19,8 +24,8 @@ seconds of ``perfbench/hostspeed.py`` (the wall time scaled by a fixed
 swings in speed cancel), plus the machine, Python and numpy.
 
 A stage still running after ``--stage-timeout`` seconds is stopped and
-recorded as ``{"timed_out_after_s": S}``. Building the scheme and its
-spectral data is not timed.
+recorded as ``{"timed_out_after_s": S}``, and the stages that need its
+result are skipped. Building the scheme is not timed.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ import platform
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -71,17 +77,19 @@ def measure(src: Path, timeout_s: float) -> dict:
     import hostspeed
     import numpy as np
     import schemelab as sl
+    from schemelab import fileio
 
     signal.signal(signal.SIGALRM, _on_alarm)
+
     families = {}
     for family in LADDER:
         s = sl.named_scheme(*family)
-        spec = sl.spectral_data(s)
         part = sl.distance_partition(s, 1, [0])[0]
-        times, f = _timed(lambda: sl.partition_projector(part), timeout_s,
-                          hostspeed)
-        row = {"v": s.v, "d": s.d, "t": part.t,
-               "partition_projector": times}
+        row = {"v": s.v, "d": s.d, "t": part.t}
+        row["spectral_data"], spec = _timed(lambda: sl.spectral_data(s),
+                                            timeout_s, hostspeed)
+        row["partition_projector"], f = _timed(
+            lambda: sl.partition_projector(part), timeout_s, hostspeed)
         if f is None:  # the projector timed out, so there is none to test
             row["commutes_with_scheme"] = {"skipped": "no projector"}
         else:
@@ -89,16 +97,43 @@ def measure(src: Path, timeout_s: float) -> dict:
                 lambda: sl.commutes_with_scheme(f, s), timeout_s, hostspeed)
         row["is_equitable"], _ = _timed(lambda: sl.is_equitable(s, part),
                                         timeout_s, hostspeed)
-        row["feasibility_report"], _ = _timed(
-            lambda: sl.feasibility_report(s, spec, part), timeout_s, hostspeed)
+        if spec is None:  # spectral data timed out
+            row["feasibility_report"] = row["godsil_one_cell"] = \
+                {"skipped": "no spectral data"}
+        else:
+            row["feasibility_report"], _ = _timed(
+                lambda: sl.feasibility_report(s, spec, part), timeout_s,
+                hostspeed)
+            one_cell = sl.one_cell_partition(s)
+            row["godsil_one_cell"], _ = _timed(
+                lambda: sl.godsil_condition(s, spec, one_cell), timeout_s,
+                hostspeed)
         split = sl.Partition(s.labels, ((0,), tuple(range(1, s.v))))
         row["is_equitable_witness"], _ = _timed(
             lambda: sl.is_equitable(s, split), timeout_s, hostspeed)
         row["search_singletons_64"], _ = _timed(
             lambda: sl.search_completely_regular(s, 1, (1, 1), budget=64),
             timeout_s, hostspeed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scheme.rel"
+            path.write_text(_relation_text(s))
+
+            def verify_file():
+                labels, mats = fileio.read_relation_file(path)
+                return sl.verify_axioms(mats, labels)
+
+            row["verify_relations"], _ = _timed(verify_file, timeout_s,
+                                                hostspeed)
         families[",".join(map(str, family))] = row
     return {"numpy": np.__version__, "families": families}
+
+
+def _relation_text(s) -> str:
+    """The relation file of ``s``: header "v d", then A_0..A_d as rows of
+    contiguous 0/1 digits, blank-line separated."""
+    blocks = ["".join("".join("1" if r == i else "0" for r in row) + "\n"
+                      for row in s.relation_of) for i in range(s.d + 1)]
+    return f"{s.v} {s.d}\n" + "\n".join(blocks)
 
 
 def git_sha(tree: Path) -> str:

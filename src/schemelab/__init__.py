@@ -17,8 +17,7 @@ from .feasibility import (FeasibilityReport, GodsilResult, HigmanResult,
                           LloydResult, MultiplicityCheck, feasibility_report,
                           fixed_relation_counts, godsil_condition,
                           higman_condition, is_scheme_automorphism,
-                          lloyd_check, permutation_matrix,
-                          subduced_multiplicities, trace_profile,
+                          lloyd_check, subduced_multiplicities, trace_profile,
                           verify_equitable_multiplicities)
 from .floatlin import symmetric_eigen
 from .partition import (EquitabilityResult, EquitabilityWitness, Partition,
@@ -54,9 +53,9 @@ __all__ = [
     "is_completely_regular", "is_equitable", "is_scheme_automorphism",
     "johnson_graph", "lloyd_check", "make_partition", "named_scheme",
     "nullspace", "one_cell_partition", "partition_projector",
-    "permutation_matrix", "petersen_graph", "poly_divides",
-    "project_onto_algebra", "rank", "rational_spectrum_roots", "rref",
-    "search_completely_regular", "singleton_partition", "spectral_data",
-    "subduced_multiplicities", "symmetric_eigen", "trace_profile",
-    "verify_axioms", "verify_equitable_multiplicities",
+    "petersen_graph", "poly_divides", "project_onto_algebra", "rank",
+    "rational_spectrum_roots", "rref", "search_completely_regular",
+    "singleton_partition", "spectral_data", "subduced_multiplicities",
+    "symmetric_eigen", "trace_profile", "verify_axioms",
+    "verify_equitable_multiplicities",
 ]

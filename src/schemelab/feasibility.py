@@ -97,22 +97,25 @@ def godsil_condition(s: AssociationScheme, spec: SpectralData, part: Partition,
     """Projection-integrality condition on a partition projector.
 
     Needs no equitability: the values depend only on the projector. Each
-    value is cross-checked against tr(F E_j) = sum over cells C of
-    (1/|C|) sum_{x, y in C} (E_j)_xy, read off the entries of E_j, before
-    the verdicts (non-negative integer?) are issued.
+    value, from ``trace_profile``'s count through the eigenmatrix formula,
+    is cross-checked before the verdicts (non-negative integer?) are issued
+    against tr(F E_j) = sum_i c_ji sum_C n_i(C, C)/|C|, where c_ji is the
+    entry of E_j on R_i and the within-cell counts n_i(C, C) are the
+    diagonal of ``_pair_counts``: two independent counts of the trace
+    profile. Both sides use P, so the check does not test P itself.
     """
-    if spec.p_matrix is None or spec.idempotents is None:
+    if spec.p_matrix is None or spec.coefficients is None:
         raise InputError("spectral data is incomplete; run spectral_data()")
     profile = trace_profile(s, part)
     values = _projection_values(s, spec, profile)
-    for j, e in enumerate(spec.idempotents):
+    cell = np.array(part.cell_of)
+    recount = [sum(map(Fraction, np.diagonal(n_i).tolist(), part.cell_sizes))
+               for n_i in _pair_counts(s, cell, cell)]
+    for j, c in enumerate(spec.coefficients):
         if spec.exact:
-            direct = sum(sum(e[x][y] for x in c for y in c) / len(c)
-                         for c in part.cells)
-            agree = direct == values[j]
+            agree = sum(c_i * w for c_i, w in zip(c, recount)) == values[j]
         else:
-            direct = sum(float(e[np.ix_(c, c)].sum()) / len(c)
-                         for c in part.cells)
+            direct = sum(float(c_i) * float(w) for c_i, w in zip(c, recount))
             agree = abs(direct - values[j]) <= max(int_tol, 1e-8)
         if not agree:
             raise InternalConsistencyError(
@@ -130,10 +133,11 @@ def subduced_multiplicities(s: AssociationScheme, spec: SpectralData,
 
     H^T E_j H = (1/v) sum_i Q_ij C_i with C_i = H^T A_i H, a t x t matrix of
     cell pair counts (one bincount per relation over the cells of its
-    pairs), and Q_ij = m_j P_ji / k_i; no matrix with v rows is formed. In
-    float mode the rank is taken of D^{-1/2} H^T E_j H D^{-1/2}, D = H^T H,
-    which is E_j compressed to orthonormal cell vectors, so its eigenvalues
-    lie in [0, 1]: those at most 1e-8 count as zero.
+    pairs), and Q_ij / v = m_j P_ji / (v k_i) is ``spec.coefficients[j][i]``;
+    no matrix with v rows is formed. In float mode the rank is taken of
+    D^{-1/2} H^T E_j H D^{-1/2}, D = H^T H, which is E_j compressed to
+    orthonormal cell vectors, so its eigenvalues lie in [0, 1]: those at
+    most 1e-8 count as zero.
 
     The images W_j H together span the whole t-dimensional cell space, so
     the dimensions sum to at least t; equality holds when the partition is
@@ -142,11 +146,10 @@ def subduced_multiplicities(s: AssociationScheme, spec: SpectralData,
     """
     cell = np.array(part.cell_of)
     counts = [c.tolist() for c in _pair_counts(s, cell, cell)]
-    p, v, r = spec.p_matrix, s.v, range(s.d + 1)
+    r = range(s.d + 1)
     scale = 1.0 / np.sqrt(np.array(part.cell_sizes, dtype=float))
     out = []
-    for j, m in enumerate(spec.multiplicities):
-        coef = [m * p[j][i] / (v * s.valencies[i]) for i in r]
+    for coef in spec.coefficients:
         if spec.exact:
             out.append(rank(RationalMatrix(
                 [[sum(coef[i] * counts[i][a][b] for i in r)
@@ -271,14 +274,6 @@ def resolve_permutation(s: AssociationScheme, images) -> tuple[int, ...]:
     if sorted(out) != list(range(s.v)):
         raise InputError("not a bijection on the vertex set")
     return tuple(out)
-
-
-def permutation_matrix(images: tuple[int, ...]) -> RationalMatrix:
-    n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for x, y in enumerate(images):
-        rows[x][y] = 1
-    return RationalMatrix(rows)
 
 
 def fixed_relation_counts(s: AssociationScheme, images: tuple[int, ...]

@@ -9,8 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
-from .ratmat import RationalMatrix
 from .scheme import LabeledGraph
 
 
@@ -45,11 +46,13 @@ def read_edge_list(path) -> LabeledGraph:
     return LabeledGraph.from_edge_labels(pairs)
 
 
-def read_relation_file(path) -> tuple[tuple[str, ...], list[RationalMatrix]]:
+def read_relation_file(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Header "v d", then d+1 blocks of v rows of 0/1, blank-line separated.
 
     Rows may be whitespace-separated digits or one contiguous 0/1 string.
-    Vertices are labeled "0".."v-1".
+    Vertices are labeled "0".."v-1". Returns the labels and the blocks as
+    one integer array of shape (d+1, v, v), block i being A_i; entries are
+    kept as read, so a 2 is left for the axiom check to report.
     """
     lines = _clean_lines(Path(path).read_text())
     body = [ln for ln in lines if ln]
@@ -69,24 +72,20 @@ def read_relation_file(path) -> tuple[tuple[str, ...], list[RationalMatrix]]:
     if len(data_rows) != rows_needed:
         raise InputError(f"{path}: expected {rows_needed} matrix rows, "
                          f"got {len(data_rows)}")
-    matrices = []
-    for block in range(d + 1):
-        rows = []
-        for r in range(v):
-            line = data_rows[block * v + r]
-            tokens = line.split()
-            if len(tokens) == 1:
-                tokens = list(tokens[0])
-            if len(tokens) != v:
-                raise InputError(f"{path}: row {line!r} has {len(tokens)} "
-                                 f"entries, expected {v}")
-            try:
-                rows.append([int(t) for t in tokens])
-            except ValueError:
-                raise InputError(f"{path}: non-integer entry in {line!r}") from None
-        matrices.append(RationalMatrix(rows))
+    rows = []
+    for line in data_rows:
+        tokens = line.split()
+        if len(tokens) == 1:
+            tokens = list(tokens[0])
+        if len(tokens) != v:
+            raise InputError(f"{path}: row {line!r} has {len(tokens)} "
+                             f"entries, expected {v}")
+        try:
+            rows.append(list(map(int, tokens)))
+        except ValueError:
+            raise InputError(f"{path}: non-integer entry in {line!r}") from None
     labels = tuple(str(i) for i in range(v))
-    return labels, matrices
+    return labels, np.array(rows).reshape(d + 1, v, v)
 
 
 def read_partition_file(path, labels) -> list[list[str]]:

@@ -182,7 +182,7 @@ def _closure(table, labels) -> AxiomReport:
     (i, j) does, so the witness is the first (i, j, k, x, y) of the scan
     over all ordered pairs (i, j).
     """
-    rel = np.array(table, dtype=np.intp)
+    rel = np.asarray(table, dtype=np.intp)
     v, d = len(rel), int(rel.max())
     assert v < 2 ** 53, "float64 counts are exact only for v < 2^53"
     ind = [(rel == i).astype(np.float64) for i in range(d + 1)]
@@ -205,7 +205,7 @@ def _closure(table, labels) -> AxiomReport:
             p[i][j] = p[j][i] = tuple(int(c) for c in coeff)
     scheme = AssociationScheme(
         labels=labels,
-        relation_of=tuple(tuple(row) for row in table),
+        relation_of=tuple(map(tuple, rel.tolist())),
         valencies=tuple(p[i][i][0] for i in range(d + 1)),
         intersection=tuple(tuple(plane) for plane in p),
     )
@@ -217,22 +217,26 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
 
     Returns a report with the first violated axiom and a witness, or, when
     all hold, the populated AssociationScheme (valencies and intersection
-    numbers included). Non-square or mixed-dimension input raises
-    InputError; entries outside {0, 1} are reported as an axiom-2 failure
-    since they break the partition of V x V. Axioms 1-3 are checked on the
-    matrices; the partition scan builds the relation table, on which axiom
-    4 is counted in integers.
+    numbers included). The matrices may be RationalMatrix objects, nested
+    lists or arrays, such as the integer blocks of ``read_relation_file``.
+    Non-square or mixed-dimension input raises InputError. Every entry is
+    compared exactly with 0 and 1 before anything else, so an entry outside
+    {0, 1}, such as 2 or 1/2, is reported as an axiom-2 failure since it
+    breaks the partition of V x V. Axioms 1-3 are array operations on the
+    stacked matrices, scanned in (matrix, row, column) order for the
+    witness; the partition scan gives the relation table, on which axiom 4
+    is counted in integers.
     """
-    mats = [m if isinstance(m, RationalMatrix) else RationalMatrix(m)
-            for m in matrices]
-    if not mats:
+    blocks = [np.asarray(m.rows if isinstance(m, RationalMatrix) else m)
+              for m in matrices]
+    if not blocks:
         raise InputError("need at least one relation matrix")
-    n = mats[0].nrows
-    for m in mats:
-        if not m.is_square:
+    for b in blocks:
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InputError("relation matrices must be square")
-        if m.nrows != n:
+        if b.shape != blocks[0].shape:
             raise InputError("relation matrices have mixed dimensions")
+    n = len(blocks[0])
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
@@ -240,39 +244,39 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
         if len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} vertices")
 
-    ident = RationalMatrix.identity(n)
-    if mats[0] != ident:
-        pos = next((x, y) for x in range(n) for y in range(n)
-                   if mats[0][x][y] != ident[x][y])
+    stack = np.stack(blocks)
+    one, zero = stack == 1, stack == 0
+    off = np.where(np.eye(n, dtype=bool), ~one[0], ~zero[0])
+    if off.any():
+        pos = divmod(int(np.argmax(off)), n)
         return AxiomReport(False, 1, "A_0 is not the identity matrix", pos)
 
-    for idx, m in enumerate(mats):
-        bad = next(((x, y) for x in range(n) for y in range(n)
-                    if m[x][y] not in (0, 1)), None)
-        if bad is not None:
+    binary = one | zero
+    bad = ~binary.all(axis=(1, 2)) | ~one.any(axis=(1, 2))
+    if bad.any():
+        idx = int(np.argmax(bad))
+        if not binary[idx].all():
+            pos = divmod(int(np.argmin(binary[idx])), n)
             return AxiomReport(False, 2,
-                               f"entry of A_{idx} at {bad} is not 0 or 1",
-                               (idx,) + bad)
-        if all(x == 0 for row in m.rows for x in row):
-            return AxiomReport(False, 2, f"relation A_{idx} is empty; "
-                               "relations must be non-empty subsets of V x V",
-                               (idx,))
-    hits = [[[i for i, m in enumerate(mats) if m[x][y]] for y in range(n)]
-            for x in range(n)]
-    pos = next(((x, y) for x in range(n) for y in range(n)
-                if len(hits[x][y]) != 1), None)
-    if pos is not None:
+                               f"entry of A_{idx} at {pos} is not 0 or 1",
+                               (idx,) + pos)
+        return AxiomReport(False, 2, f"relation A_{idx} is empty; "
+                           "relations must be non-empty subsets of V x V",
+                           (idx,))
+    hits = one.sum(axis=0)
+    if (hits != 1).any():
+        pos = divmod(int(np.argmax(hits != 1)), n)
         return AxiomReport(False, 2,
                            f"relations do not partition V x V at {pos} "
-                           f"(sum entry {len(hits[pos[0]][pos[1]])})", pos)
+                           f"(sum entry {int(hits[pos])})", pos)
 
-    for idx, m in enumerate(mats):
-        if not m.is_symmetric():
-            pos = next((x, y) for x in range(n) for y in range(n)
-                       if m[x][y] != m[y][x])
-            return AxiomReport(False, 3, f"A_{idx} is not symmetric", (idx,) + pos)
+    asym = one != one.transpose(0, 2, 1)
+    if asym.any():
+        idx, x, y = (int(a) for a in
+                     np.unravel_index(int(np.argmax(asym)), asym.shape))
+        return AxiomReport(False, 3, f"A_{idx} is not symmetric", (idx, x, y))
 
-    return _closure([[h[0] for h in row] for row in hits], labels)
+    return _closure(np.argmax(one, axis=0), labels)
 
 
 def check_size_cap(v: int, max_vertices: int) -> None:

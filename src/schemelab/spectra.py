@@ -8,9 +8,11 @@ m_j = v / sum_i P_ji^2/k_i, Q = v P^{-1} and the primitive idempotents
 E_j = (1/v) sum_i Q_ij A_i. Each E_j is checked through P alone: row j
 of P must be a character of the algebra, P_ja P_jb = sum_c p^c_ab P_jc,
 which with the duality Q_ij k_i = P_ji m_j gives E_j E_k = delta_jk E_j and
-rank(E_j) = tr(E_j) = m_j. No v x v matrix is row-reduced, diagonalised or
-given a characteristic polynomial; the maximal common eigenspace W_j, the
-row space of E_j, is only computed when ``SpectralData.bases`` is read.
+rank(E_j) = tr(E_j) = m_j. E_j lies in the (d+1)-dimensional algebra, so
+its entry (x, y) is c_{j,r(x,y)} with c_ji = m_j P_ji / (v k_i): the d+1
+coefficients are kept, and the dense v x v E_j is built only when
+``SpectralData.idempotents`` is read. No v x v matrix is row-reduced,
+diagonalised or given a characteristic polynomial.
 
 There is one route to P: the symmetrized D^{1/2} L_i D^{-1/2}, D = diag(k_i),
 are split relation by relation in double precision. For exact mode each
@@ -25,7 +27,7 @@ tuple; since |P_ji| <= k_i this puts the trivial character first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import (InputError, InternalConsistencyError,
                      IrrationalSpectrumError)
 from .floatlin import symmetric_eigen
-from .ratmat import RationalMatrix, inner_product, inverse, rref
+from .ratmat import RationalMatrix, inner_product, inverse
 from .scheme import AssociationScheme
 
 DEFAULT_EIGEN_TOL = 1e-9
@@ -48,38 +50,37 @@ class SpectralData:
     """Spectral decomposition of a scheme, exact or floating point.
 
     ``p_matrix[j][i]`` is the eigenvalue of A_i on W_j; ``q_matrix`` is its
-    dual with P Q = v I; ``idempotents[j]`` is E_j. ``bases`` is derived
-    from the E_j when first read.
+    dual with P Q = v I. ``coefficients[j][i]`` = m_j P_ji / (v k_i) =
+    Q_ij / v is the entry of E_j on every pair of R_i: Fractions in exact
+    mode, a float64 array in float mode. ``idempotents[j]``, the dense E_j,
+    is built from them and the scheme's relation table when first read.
     """
 
     mode: str  # "exact" | "float"
     eigen_tol: float | None
     multiplicities: tuple[int, ...]
-    idempotents: tuple | None = None
+    coefficients: object | None = None
     p_matrix: object | None = None
     q_matrix: object | None = None
     warnings: tuple[str, ...] = ()
+    relation_of: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def exact(self) -> bool:
         return self.mode == "exact"
 
     @cached_property
-    def bases(self) -> tuple:
-        """Rows spanning each W_j, computed from E_j on first read.
-
-        Exact mode: a RationalMatrix, the non-zero rows of rref(E_j). Float
-        mode: an ndarray of orthonormal eigenvectors of E_j for eigenvalue 1.
-        """
-        out = []
-        for e in self.idempotents:
-            if self.exact:
-                reduced, rk, _ = rref(e)
-                out.append(RationalMatrix(reduced.rows[:rk]))
-            else:
-                w, vecs = np.linalg.eigh(e)
-                out.append(vecs[:, w > 0.5].T.copy())
-        return tuple(out)
+    def idempotents(self) -> tuple | None:
+        """E_0..E_d as v x v matrices: RationalMatrix in exact mode,
+        ndarray in float mode; None without coefficients or a table."""
+        if self.coefficients is None or self.relation_of is None:
+            return None
+        if self.exact:
+            return tuple(RationalMatrix([[c[r] for r in row]
+                                         for row in self.relation_of])
+                         for c in self.coefficients)
+        table = np.array(self.relation_of)
+        return tuple(c[table] for c in self.coefficients)
 
 
 def _eigenmatrix_rows(s: AssociationScheme, eigen_tol: float | None):
@@ -197,7 +198,7 @@ def rational_spectrum_roots(s: AssociationScheme) -> list[dict[int, int]] | None
 
 def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
                        eigen_tol: float = DEFAULT_EIGEN_TOL) -> SpectralData:
-    """P, multiplicities and the idempotents E_j of the eigenspaces W_j.
+    """P, multiplicities and the coefficients of the idempotents E_j.
 
     ``mode`` is "exact", "float", or "auto" (exact whenever every relation
     has a rational spectrum, else float with a warning recorded). Exactly
@@ -205,7 +206,8 @@ def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
     character (P_ja P_jb = sum_c p^c_ab P_jc, with ``==`` in exact mode and
     within 1e-8 v in float mode); anything else raises
     InternalConsistencyError. Q is left to ``eigenmatrices``, which verifies
-    the duality Q_ij k_i = P_ji m_j that the E_j are built from.
+    the duality Q_ij k_i = P_ji m_j that the coefficients of the E_j come
+    from.
     """
     if mode not in ("auto", "exact", "float"):
         raise InputError(f"unknown mode {mode!r}")
@@ -222,31 +224,31 @@ def common_eigenspaces(s: AssociationScheme, mode: str = "auto",
         rows = _eigenmatrix_rows(s, eigen_tol)
     mult = _multiplicities(s, rows, exact)
     _check_characters(s, rows, exact)
-    rel = s.relation_of
-    es = []
-    for row, m in zip(rows, mult):
-        # column j of Q by duality: Q_ij = m_j P_ji / k_i
-        if exact:
-            coef = [m * Fraction(x) / (s.v * k) for x, k in zip(row, s.valencies)]
-            es.append(RationalMatrix([[coef[r] for r in rel_row]
-                                      for rel_row in rel]))
-        else:
-            coef = np.array([m * x / (s.v * k) for x, k in zip(row, s.valencies)])
-            es.append(coef[np.array(rel)])
-    p = RationalMatrix(rows) if exact else np.array(rows, dtype=float)
+    # column j of Q by duality, over v: c_ji = Q_ij / v = m_j P_ji / (v k_i)
+    if exact:
+        coef = tuple(tuple(m * Fraction(x) / (s.v * k)
+                           for x, k in zip(row, s.valencies))
+                     for row, m in zip(rows, mult))
+        p = RationalMatrix(rows)
+    else:
+        p = np.array(rows, dtype=float)
+        coef = np.array(mult, dtype=float)[:, None] * p \
+            / (s.v * np.array(s.valencies))
     return SpectralData(mode="exact" if exact else "float",
                         eigen_tol=None if exact else eigen_tol,
-                        multiplicities=mult, idempotents=tuple(es),
-                        p_matrix=p, warnings=warnings)
+                        multiplicities=mult, coefficients=coef,
+                        p_matrix=p, warnings=warnings,
+                        relation_of=s.relation_of)
 
 
 def idempotents(spec: SpectralData) -> SpectralData:
-    """Return ``spec`` with its primitive idempotents E_j.
+    """Return ``spec``, which must carry the coefficients of its E_j.
 
-    ``common_eigenspaces`` already builds them from P; spectral data
-    without them raises InputError.
+    ``common_eigenspaces`` computes them from P; spectral data without
+    them raises InputError. The dense E_j are built only when
+    ``spec.idempotents`` is read.
     """
-    if spec.idempotents is None:
+    if spec.coefficients is None:
         raise InputError("spectral data lacks idempotents; "
                          "build it with common_eigenspaces()")
     return spec

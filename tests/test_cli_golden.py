@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 import schemelab as sl
+from schemelab import fileio
 from schemelab.cli import main
 
 from conftest import PAIR_CELLS
@@ -302,3 +303,65 @@ def test_verify_report_is_pinned(argv, verify_dir, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
         VERIFY_DIGESTS[" ".join(argv)]
+
+
+# -- no v x v RationalMatrix on a CLI path -----------------------------------
+
+def _vertex_count(argv):
+    """v of the scheme a command reads: from the family, the relation-file
+    header, or the edge list."""
+    source, value = argv[1], argv[2]
+    if source == "--family":
+        name, *params = value.split(",")
+        return sl.named_scheme(name, *(int(x) for x in params)).v
+    if source == "--relations":
+        with open(value) as f:
+            return int(f.readline().split()[0])
+    return fileio.read_edge_list(value).v
+
+
+@pytest.fixture
+def matrix_rows(monkeypatch):
+    """The row count of every RationalMatrix built while the test runs."""
+    rows = []
+    original = sl.RationalMatrix.__init__
+
+    def recording(self, data):
+        original(self, data)
+        rows.append(self.nrows)
+
+    monkeypatch.setattr(sl.RationalMatrix, "__init__", recording)
+    return rows
+
+
+@pytest.mark.parametrize("argv", _commands() + _verify_commands(),
+                         ids=" ".join)
+def test_no_vertex_sized_rational_matrix(argv, golden_dir, verify_dir,
+                                         monkeypatch, capsys, matrix_rows):
+    verify = argv[0] == "verify"
+    monkeypatch.chdir(verify_dir if verify else golden_dir)
+    v = _vertex_count(argv)
+    matrix_rows.clear()
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert v not in matrix_rows
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
+        (VERIFY_DIGESTS if verify else DIGESTS)[" ".join(argv)]
+
+
+def test_library_routes_build_no_vertex_sized_matrix(
+        exact_catalog, cycle5, cycle7, verify_dir, matrix_rows):
+    for name in VERIFY_INPUTS:
+        if name.endswith(".rel"):
+            labels, mats = fileio.read_relation_file(verify_dir / name)
+            sl.verify_axioms(mats, labels)
+            assert len(labels) not in matrix_rows
+    for s in exact_catalog + [cycle5, cycle7]:
+        relations = s.relations
+        matrix_rows.clear()
+        assert sl.verify_axioms(relations).ok
+        spec = sl.common_eigenspaces(s)
+        for part in (sl.distance_partition(s, 1, [0])[0],
+                     sl.one_cell_partition(s), sl.singleton_partition(s)):
+            sl.godsil_condition(s, spec, part)
+        assert s.v not in matrix_rows

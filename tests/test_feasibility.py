@@ -10,7 +10,16 @@ from schemelab.floatlin import float_rank
 from schemelab.poly import Polynomial, char_poly, integer_roots, poly_divides
 from schemelab.ratmat import RationalMatrix, rank
 
-from test_spectra import numpy_eigen_multiset, product_scheme
+from test_spectra import bases, numpy_eigen_multiset, product_scheme
+
+
+def permutation_matrix(images):
+    """P_sigma, with entry (x, sigma(x)) equal to 1."""
+    n = len(images)
+    rows = [[0] * n for _ in range(n)]
+    for x, y in enumerate(images):
+        rows[x][y] = 1
+    return RationalMatrix(rows)
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +228,7 @@ class TestHigman:
     def test_alpha_equals_matrix_inner_product(self, petersen):
         images = tuple(
             petersen.vertex(rotation_map()[lab]) for lab in petersen.labels)
-        p = sl.permutation_matrix(images)
+        p = permutation_matrix(images)
         alpha = sl.fixed_relation_counts(petersen, images)
         for i, a in enumerate(petersen.relations):
             assert sl.inner_product(a, p) == alpha[i]
@@ -346,10 +355,10 @@ class TestSubducedAgainstBases:
     def reference(s, spec, part):
         h = part.characteristic_matrix()
         if spec.exact:
-            return tuple(rank(b @ h) for b in spec.bases)
+            return tuple(rank(b @ h) for b in bases(spec))
         hf = np.array(h.rows, dtype=float)
         atol = 1e-8 * max(1.0, float(np.sqrt(s.v)))
-        return tuple(float_rank(b @ hf, atol) for b in spec.bases)
+        return tuple(float_rank(b @ hf, atol) for b in bases(spec))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_random_and_distance_partitions(self, exact_catalog, cycle5,
@@ -373,7 +382,7 @@ class TestSubducedAgainstBases:
         sl.feasibility_report(petersen, spec, petersen_vertex_partition)
         sl.verify_equitable_multiplicities(petersen, spec,
                                            petersen_vertex_partition)
-        assert "bases" not in vars(spec)
+        assert "idempotents" not in vars(spec)
 
 
 class TestAutomorphismTable:
@@ -381,7 +390,7 @@ class TestAutomorphismTable:
 
     @staticmethod
     def commutes(s, images):
-        p = sl.permutation_matrix(images)
+        p = permutation_matrix(images)
         return all(p @ a == a @ p for a in s.relations)
 
     def test_agrees_with_matrix_commutation(self, petersen, hamming32,
@@ -430,5 +439,47 @@ class TestProjectionCrossCheck:
 
         monkeypatch.setattr(feasibility_module, "_projection_values",
                             perturbed)
+        with pytest.raises(sl.InternalConsistencyError, match="disagree"):
+            sl.godsil_condition(s, spec, part)
+
+    @pytest.mark.parametrize("name, mode", [("petersen", "exact"),
+                                            ("cycle5", "float")])
+    def test_extra_pair_in_trace_profile_is_caught(self, request, monkeypatch,
+                                                   name, mode):
+        import schemelab.feasibility as feasibility_module
+        s = request.getfixturevalue(name)
+        spec = sl.spectral_data(s)
+        assert spec.mode == mode
+        part, _ = sl.distance_partition(s, 1, [s.labels[0]])
+        original = feasibility_module.trace_profile
+
+        def one_more_pair(s, part):
+            profile = original(s, part)
+            extra = Fraction(1, len(part.cells[0]))  # in R_1, inside C_1
+            return (profile[0], profile[1] + extra) + profile[2:]
+
+        monkeypatch.setattr(feasibility_module, "trace_profile", one_more_pair)
+        with pytest.raises(sl.InternalConsistencyError, match="disagree"):
+            sl.godsil_condition(s, spec, part)
+
+    @pytest.mark.parametrize("name, mode", [("petersen", "exact"),
+                                            ("cycle5", "float")])
+    def test_extra_pair_in_pair_counts_is_caught(self, request, monkeypatch,
+                                                 name, mode):
+        import schemelab.feasibility as feasibility_module
+        s = request.getfixturevalue(name)
+        spec = sl.spectral_data(s)
+        assert spec.mode == mode
+        part, _ = sl.distance_partition(s, 1, [s.labels[0]])
+        original = feasibility_module._pair_counts
+
+        def one_more_pair(s, rows, cols):
+            for i, n_i in enumerate(original(s, rows, cols)):
+                if i == 1:  # one more pair of R_1 inside C_1
+                    n_i = n_i.copy()
+                    n_i[0, 0] += 1
+                yield n_i
+
+        monkeypatch.setattr(feasibility_module, "_pair_counts", one_more_pair)
         with pytest.raises(sl.InternalConsistencyError, match="disagree"):
             sl.godsil_condition(s, spec, part)

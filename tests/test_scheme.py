@@ -1,10 +1,13 @@
 import collections
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import schemelab as sl
+from schemelab import fileio
 from schemelab.ratmat import RationalMatrix
 
 from conftest import PETERSEN_EDGES
@@ -315,6 +318,102 @@ class TestAxiomFourWitness:
         # the variants reach passing schemes and witnesses past (i, j) = (1, 1)
         assert any(e is None for e in outcomes)
         assert any(e is not None and e[2][:2] > (1, 1) for e in outcomes)
+
+
+def reference_verify_axioms(matrices, labels=None):
+    """Axioms 1-3 as Python scans over RationalMatrix entries, then axiom 4
+    on the table: the route the array checks replaced."""
+    from schemelab.scheme import _closure
+    mats = [m if isinstance(m, RationalMatrix) else RationalMatrix(m)
+            for m in matrices]
+    n = mats[0].nrows
+    labels = tuple(str(i) for i in range(n)) if labels is None \
+        else tuple(labels)
+    ident = RationalMatrix.identity(n)
+    if mats[0] != ident:
+        pos = next((x, y) for x in range(n) for y in range(n)
+                   if mats[0][x][y] != ident[x][y])
+        return sl.AxiomReport(False, 1, "A_0 is not the identity matrix", pos)
+    for idx, m in enumerate(mats):
+        bad = next(((x, y) for x in range(n) for y in range(n)
+                    if m[x][y] not in (0, 1)), None)
+        if bad is not None:
+            return sl.AxiomReport(False, 2,
+                                  f"entry of A_{idx} at {bad} is not 0 or 1",
+                                  (idx,) + bad)
+        if all(x == 0 for row in m.rows for x in row):
+            return sl.AxiomReport(False, 2, f"relation A_{idx} is empty; "
+                                  "relations must be non-empty subsets of "
+                                  "V x V", (idx,))
+    hits = [[[i for i, m in enumerate(mats) if m[x][y]] for y in range(n)]
+            for x in range(n)]
+    pos = next(((x, y) for x in range(n) for y in range(n)
+                if len(hits[x][y]) != 1), None)
+    if pos is not None:
+        return sl.AxiomReport(False, 2,
+                              f"relations do not partition V x V at {pos} "
+                              f"(sum entry {len(hits[pos[0]][pos[1]])})", pos)
+    for idx, m in enumerate(mats):
+        if not m.is_symmetric():
+            pos = next((x, y) for x in range(n) for y in range(n)
+                       if m[x][y] != m[y][x])
+            return sl.AxiomReport(False, 3, f"A_{idx} is not symmetric",
+                                  (idx,) + pos)
+    return _closure([[h[0] for h in row] for row in hits], labels)
+
+
+def assert_same_report(matrices):
+    """verify_axioms on ``matrices`` equals the reference route, witness
+    and detail included, with a witness of Python ints."""
+    report = sl.verify_axioms(matrices)
+    expected = reference_verify_axioms([np.asarray(m).tolist()
+                                        for m in matrices])
+    assert (report.ok, report.axiom, report.detail, report.witness) == \
+        (expected.ok, expected.axiom, expected.detail, expected.witness)
+    assert all(type(x) is int for x in report.witness or ())
+    assert report.scheme == expected.scheme
+    return report
+
+
+class TestArrayAxioms:
+    """Axioms 1-3 on the stacked integer array against the Python scans."""
+
+    def test_golden_relation_files(self, tmp_path):
+        from test_cli_golden import VERIFY_INPUTS
+        axioms = []
+        for name, text in VERIFY_INPUTS.items():
+            if name.endswith(".rel"):
+                (tmp_path / name).write_text(text)
+                mats = fileio.read_relation_file(tmp_path / name)[1]
+                axioms.append(assert_same_report(mats).axiom)
+        assert sorted(axioms) == [1, 2, 2, 2, 3, 4, 4]
+
+    @pytest.mark.parametrize("family", [("petersen",), ("hamming", 3, 2)],
+                             ids=str)
+    def test_every_single_entry_flip(self, family, tmp_path):
+        from test_fileio import write_relation_file
+        s = sl.named_scheme(*family)
+        path = tmp_path / "s.rel"
+        write_relation_file(path, s)
+        mats = fileio.read_relation_file(path)[1]
+        assert assert_same_report(mats).ok
+        axioms = collections.Counter()
+        for i, x, y in itertools.product(range(s.d + 1), range(s.v),
+                                         range(s.v)):
+            flipped = mats.copy()
+            flipped[i, x, y] = 1 - flipped[i, x, y]
+            axioms[assert_same_report(flipped).axiom] += 1
+        assert set(axioms) == {1, 2}
+
+    @pytest.mark.parametrize("entry", [2, Fraction(1, 2)], ids=str)
+    def test_entry_outside_zero_one(self, petersen, entry):
+        for i, x, y in [(0, 0, 0), (0, 3, 4), (1, 0, 1), (2, 9, 8)]:
+            mats = [[list(row) for row in a.rows] for a in petersen.relations]
+            mats[i][x][y] = entry
+            report = assert_same_report(mats)
+            assert report.axiom == (1 if i == 0 else 2)
+            as_matrices = [RationalMatrix(m) for m in mats]
+            assert sl.verify_axioms(as_matrices) == report
 
 
 CATALOGUE = [("petersen",), ("hamming", 1, 4), ("hamming", 2, 3),

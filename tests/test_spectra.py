@@ -5,7 +5,22 @@ import numpy as np
 import pytest
 
 import schemelab as sl
-from schemelab.ratmat import RationalMatrix, rank
+from schemelab.ratmat import RationalMatrix, rank, rref
+
+
+def bases(spec):
+    """Rows spanning each W_j, the row space of E_j: in exact mode the
+    non-zero rows of rref(E_j), in float mode the orthonormal eigenvectors
+    of E_j for eigenvalue 1."""
+    out = []
+    for e in spec.idempotents:
+        if spec.exact:
+            reduced, rk, _ = rref(e)
+            out.append(RationalMatrix(reduced.rows[:rk]))
+        else:
+            w, vecs = np.linalg.eigh(e)
+            out.append(vecs[:, w > 0.5].T.copy())
+    return tuple(out)
 
 
 def numpy_eigen_multiset(matrix):
@@ -38,15 +53,15 @@ class TestCommonEigenspaces:
     def test_constants_space_first(self, exact_catalog):
         for s in exact_catalog:
             spec = sl.common_eigenspaces(s)
-            b0 = spec.bases[0]
+            b0 = bases(spec)[0]
             assert b0.nrows == 1
             assert len(set(b0[0])) == 1  # constant vector spans W_0
 
     def test_spaces_pairwise_orthogonal(self, petersen_spec):
-        bases = petersen_spec.bases
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                prod = bases[i] @ bases[j].transpose()
+        spaces = bases(petersen_spec)
+        for i in range(len(spaces)):
+            for j in range(i + 1, len(spaces)):
+                prod = spaces[i] @ spaces[j].transpose()
                 assert prod == RationalMatrix.zeros(prod.nrows, prod.ncols)
 
     def test_mode_detection(self, petersen, cycle5):
@@ -179,7 +194,58 @@ class TestProductSchemes:
         assert spec.multiplicities == tuple(int(m) for m in mult[order])
 
 
+@pytest.fixture(scope="module")
+def k3_squared_from_file(tmp_path_factory):
+    """K3 x K3, written to a relation file and read back."""
+    from schemelab.fileio import read_relation_file
+    from test_fileio import write_relation_file
+    k3 = sl.named_scheme("hamming", 1, 3)
+    path = tmp_path_factory.mktemp("rel") / "k3xk3.rel"
+    write_relation_file(path, product_scheme(k3, k3))
+    labels, mats = read_relation_file(path)
+    return sl.verify_axioms(mats, labels).scheme
+
+
+def reference_idempotents(s, spec):
+    """E_j = (1/v) sum_i Q_ij A_i built entry by entry from the relation
+    table, with Q_ij = m_j P_ji / k_i: the eager loop the coefficients
+    replaced."""
+    rel = s.relation_of
+    rows = spec.p_matrix.rows if spec.exact else spec.p_matrix
+    es = []
+    for row, m in zip(rows, spec.multiplicities):
+        if spec.exact:
+            coef = [m * Fraction(x) / (s.v * k)
+                    for x, k in zip(row, s.valencies)]
+            es.append(RationalMatrix([[coef[r] for r in rel_row]
+                                      for rel_row in rel]))
+        else:
+            coef = np.array([m * x / (s.v * k)
+                             for x, k in zip(row, s.valencies)])
+            es.append(coef[np.array(rel)])
+    return es
+
+
 class TestIdempotents:
+    def test_lazy_matrices_match_reference_loop(self, exact_catalog,
+                                                k3_squared_from_file):
+        cycles = [sl.named_scheme("cycle", n) for n in range(5, 14)]
+        modes = set()
+        for s in exact_catalog + [k3_squared_from_file] + cycles:
+            spec = sl.spectral_data(s)
+            assert "idempotents" not in vars(spec)
+            expected = reference_idempotents(s, spec)
+            modes.add(spec.mode)
+            if spec.exact:
+                assert list(spec.idempotents) == expected
+            else:
+                assert len(spec.idempotents) == len(expected)
+                for e, ref in zip(spec.idempotents, expected):
+                    assert e.shape == ref.shape
+                    assert np.abs(e - ref).max() <= 1e-12
+            assert spec.idempotents is spec.idempotents
+        assert modes == {"exact", "float"}
+
     def test_e0_is_uniform(self, exact_catalog):
         for s in exact_catalog:
             spec = sl.idempotents(sl.common_eigenspaces(s))
@@ -390,18 +456,12 @@ class TestRoundedRoute:
     check; the exact refinement over char(L_i) is the reference."""
 
     @pytest.fixture(scope="class")
-    def exact_schemes(self, exact_catalog, tmp_path_factory):
-        from schemelab.fileio import read_relation_file
-        from test_fileio import write_relation_file
-        k3 = sl.named_scheme("hamming", 1, 3)
-        path = tmp_path_factory.mktemp("rel") / "k3xk3.rel"
-        write_relation_file(path, product_scheme(k3, k3))
-        labels, mats = read_relation_file(path)
-        from_file = sl.verify_axioms(mats, labels).scheme
+    def exact_schemes(self, exact_catalog, k3_squared_from_file):
         return exact_catalog + [sl.named_scheme("hamming", 4, 3),
                                 sl.named_scheme("johnson", 8, 3),
                                 sl.named_scheme("cycle", 4),
-                                sl.named_scheme("cycle", 6), from_file]
+                                sl.named_scheme("cycle", 6),
+                                k3_squared_from_file]
 
     def test_p_matches_reference(self, exact_schemes):
         for s in exact_schemes:

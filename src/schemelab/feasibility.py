@@ -109,6 +109,7 @@ def godsil_condition(s: AssociationScheme, spec: SpectralData, part: Partition,
     profile = trace_profile(s, part)
     values = _projection_values(s, spec, profile)
     cell = np.array(part.cell_of)
+    # <F, A_i> once more, from the within-cell pair counts
     recount = [sum(map(Fraction, np.diagonal(n_i).tolist(), part.cell_sizes))
                for n_i in _pair_counts(s, cell, cell)]
     for j, c in enumerate(spec.coefficients):

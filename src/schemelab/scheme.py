@@ -272,8 +272,7 @@ def verify_axioms(matrices, labels=None) -> AxiomReport:
 
     asym = one != one.transpose(0, 2, 1)
     if asym.any():
-        idx, x, y = (int(a) for a in
-                     np.unravel_index(int(np.argmax(asym)), asym.shape))
+        idx, x, y = map(int, np.unravel_index(np.argmax(asym), asym.shape))
         return AxiomReport(False, 3, f"A_{idx} is not symmetric", (idx, x, y))
 
     return _closure(np.argmax(one, axis=0), labels)
